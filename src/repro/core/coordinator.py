@@ -615,7 +615,6 @@ class RSCoordinator(Coordinator):
             index=index,
             row=self.parity_row(index),
             field=self.field,
-            stripe_store=self.config.parity_stripe_store,
         )
         server.inbound_queue_limit = self.config.bucket_queue_limit
         if self.config.durability:
@@ -803,7 +802,7 @@ class RSCoordinator(Coordinator):
         # Read the group's data *before* committing anything: a dead
         # member surfaces here and leaves the group untouched (recover
         # it, then retry the raise).
-        ops, expected_seqs = self._collect_group_ops(group)
+        blocks, expected_seqs = self._collect_group_ops(group)
         begin = self._journal(
             "intent.begin",
             op="raise",
@@ -820,7 +819,7 @@ class RSCoordinator(Coordinator):
             self.send(
                 parity_node(self.file_id, group, index),
                 "parity.batch",
-                {"ops": ops, "expected_seqs": expected_seqs},
+                {"ops": blocks, "expected_seqs": expected_seqs},
             )
         targets = [
             parity_node(self.file_id, group, i) for i in range(new_level)
@@ -836,34 +835,33 @@ class RSCoordinator(Coordinator):
         self._journal("intent.end", begin=begin.lsn)
 
     def _collect_group_ops(self, group: int) -> tuple[list[dict], dict[int, int]]:
-        """Dump a group's data as (unsequenced) insert Δ-ops plus the
-        channel expectations a fresh parity bucket should start from.
+        """Dump a group's data as one unsequenced insert Δ-block per
+        position plus the channel expectations a fresh parity bucket
+        should start from.
 
-        The ops feed new parity buckets in one encode batch; the
+        The blocks feed new parity buckets in one encode batch; the
         expectations make any in-flight or retransmitted Δ from before
         the dump a detectable duplicate at the new bucket.
         """
         m = self.config.group_size
-        buckets = group_buckets(group, m, self.state.bucket_count)
-        ops_by_rank: dict[int, list] = {}
+        blocks: list[dict] = []
         expected_seqs: dict[int, int] = {}
-        for bucket in buckets:
+        for bucket in group_buckets(group, m, self.state.bucket_count):
             dump = self.call(data_node(self.file_id, bucket), "bucket.dump")
             pos = bucket % m
             expected_seqs[pos] = dump.get("parity_seq", 0) + 1
-            for key, rank, payload in dump["records"]:
-                ops_by_rank.setdefault(rank, []).append(
-                    {
-                        "op": "insert",
-                        "key": key,
-                        "rank": rank,
-                        "pos": pos,
-                        "delta": payload,
-                        "length": len(payload),
-                    }
-                )
-        ops = [op for rank in sorted(ops_by_rank) for op in ops_by_rank[rank]]
-        return ops, expected_seqs
+            records = dump["records"]
+            if records:
+                blocks.append({
+                    "block": "insert",
+                    "pos": pos,
+                    "seq0": None,
+                    "keys": [key for key, _, _ in records],
+                    "ranks": [rank for _, rank, _ in records],
+                    "deltas": [payload for _, _, payload in records],
+                    "lengths": [len(payload) for _, _, payload in records],
+                })
+        return blocks, expected_seqs
 
     # ------------------------------------------------------------------
     # unavailability handling

@@ -32,10 +32,6 @@ class CostModel:
         """Key search from a converged client: request + record back."""
         return 2.0
 
-    def search_worst_case(self) -> int:
-        """Any stale image: request + ≤2 forwards + reply + IAM."""
-        return 5
-
     def insert(self, batch: int = 1) -> float:
         """Insert: the record + one Δ-record per parity bucket.
 
@@ -46,11 +42,6 @@ class CostModel:
 
     update = insert
     delete = insert
-
-    def delete_with_compaction(self) -> float:
-        """§4.3 rank compaction adds one batch per parity bucket when a
-        mid-range rank frees (the common case under churn)."""
-        return 1.0 + 2.0 * self.k
 
     # ------------------------------------------------------------------
     # structure maintenance
@@ -78,10 +69,6 @@ class CostModel:
             raise ValueError("beyond the availability level")
         survivors = (self.m - failed) + (self.k - parity_failed)
         return 2 * survivors + failed + parity_failed
-
-    def group_recovery_records(self, failed: int = 1) -> float:
-        """Expected records decoded: failed buckets' contents."""
-        return failed * self.b * self.load
 
     def record_recovery_messages(self) -> int:
         """Degraded read: report + locate (2) + ≤(m-1) fetches (2 each)

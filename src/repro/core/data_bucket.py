@@ -7,6 +7,11 @@ Extends the LH* data server with the paper's high-availability duties:
   enhancement, done locally);
 * every mutation ships a **Δ-record** to each parity bucket of the
   bucket group (1 + k messages per insert/update/delete);
+* every Δ travels in a columnar **Δ-block** (:meth:`RSDataServer.
+  _parity_block`): a scalar op sends a block of one, a vectorized batch
+  run or a structural change (split, merge, bulk load, compaction) one
+  block per action — on the wire, in the WAL, in the catch-up history
+  ring and in the lazy/coalesced parity queue alike;
 * a **split** removes the movers from this group's record groups and the
   target re-inserts them into its own — record group membership always
   follows the record's *current* bucket, so any two members of a record
@@ -56,6 +61,21 @@ DATA_FENCED_KINDS = frozenset(
 )
 
 
+def block_size(block: dict) -> int:
+    """Wire size of one Δ-block, arithmetically.
+
+    34 bytes of column names, the action, the position, ``seq0`` (8
+    bytes, or nothing when unsequenced), three 8-byte ints per Δ and the
+    Δ bytes — exactly what :func:`~repro.sim.messages.estimate_size`
+    would walk to, without the walk.  ``tests/core/test_batch_ops.py``
+    pins the equality.
+    """
+    return (
+        42 + len(block["block"]) + (0 if block["seq0"] is None else 8)
+        + 24 * len(block["keys"]) + sum(map(len, block["deltas"]))
+    )
+
+
 class RSDataServer(DataServer):
     """One LH*RS data bucket: LH* behaviour plus parity maintenance."""
 
@@ -82,7 +102,7 @@ class RSDataServer(DataServer):
         self.compact_ranks = compact_ranks
         self.parity_batch_size = parity_batch_size
         self.field = GF(field_width)
-        #: Δ-records accumulated in lazy mode, FIFO
+        #: Δ-blocks held back (lazy mode, client batches), FIFO
         self._parity_queue: list[dict] = []
         self.group = group_of(number, group_size)
         self.position = position_of(number, group_size)
@@ -110,6 +130,11 @@ class RSDataServer(DataServer):
         self._delta_history: deque | None = None
         self._ckpt_interval = 0
         self._appends_since_ckpt = 0
+        #: a full checkpoint interval is written only once the outermost
+        #: handler returns: mid-handler (a split between unassigning its
+        #: movers and dropping them) the bucket's state is not an image
+        self._checkpoint_due = False
+        self._depth = 0
         #: incarnation stamped by the coordinator; a rebuilt spare under
         #: the same node id gets a higher epoch, fencing stale disks
         self.epoch = 0
@@ -126,7 +151,14 @@ class RSDataServer(DataServer):
             failure = NodeUnavailable(self.node_id)
             failure.fenced = True
             raise failure
-        return super().receive(message)
+        self._depth += 1
+        try:
+            result = super().receive(message)
+        finally:
+            self._depth -= 1
+        if self._checkpoint_due and not self._depth:
+            self.checkpoint_now()
+        return result
 
     # ------------------------------------------------------------------
     # rank management
@@ -169,13 +201,15 @@ class RSDataServer(DataServer):
         return rank
 
     def _compact(self) -> list[dict]:
-        """§4.3-style rank compaction; returns the parity ops it implies.
+        """§4.3-style rank compaction; returns the Δ-blocks it implies.
 
         Drains the free list: freed ranks inside the dense range
-        {1..size} absorb the highest-ranked records (a delete + insert
-        pair per move, batched by the caller); freed ranks above it are
-        simply retired by shrinking the counter.  Afterwards the bucket's
-        ranks are exactly {1..size} again.
+        {1..size} absorb the highest-ranked records; freed ranks above
+        it are simply retired by shrinking the counter.  Afterwards the
+        bucket's ranks are exactly {1..size} again.  The moves ship as
+        one delete block (old ranks) and then one insert block (new
+        ranks): sources all lie above ``target`` and destinations at or
+        below it, so each block's ranks are distinct.
 
         The highest occupied rank comes from the ``_rank_to_key``
         reverse index via a pointer walking down from the counter — the
@@ -183,87 +217,36 @@ class RSDataServer(DataServer):
         below ``target`` < the vacated maximum), so the whole drain is
         O(moves + ranks scanned once), not O(moves × bucket size).
         """
-        ops: list[dict] = []
         if not self.compact_ranks:
-            return ops
+            return []
         target = len(self.ranks)
         high = self._rank_counter
+        moved: list[tuple[int, bytes]] = []
+        sources: list[int] = []
+        destinations: list[int] = []
         while self._free_ranks:
             free = heapq.heappop(self._free_ranks)
             if free > target:
                 continue  # beyond the dense range: retire silently
             while high not in self._rank_to_key:
                 high -= 1
-            key_max, r_max = self._rank_to_key[high], high
-            payload = self.bucket.get(key_max)
-            ops.append(self._parity_op("delete", key_max, r_max, payload, 0))
-            op = self._parity_op("insert", key_max, free, payload, len(payload))
-            ops.append(op)
-            del self._rank_to_key[r_max]
-            self._assign_rank(key_max, free)
+            key = self._rank_to_key.pop(high)
+            self._assign_rank(key, free)
+            moved.append((key, self.bucket.get(key)))
+            sources.append(high)
+            destinations.append(free)
         self._rank_counter = target
+        blocks = self._records_block("delete", moved, sources)
+        blocks += self._records_block("insert", moved, destinations)
         if self._wal is not None:
-            # the move ops logged above; the counter shrink (and drained
-            # free list) is the one effect they do not imply
+            # the move blocks logged above; the counter shrink (and
+            # drained free list) is the one effect they do not imply
             self._log_entry({"ctl": "counter", "counter": target})
-        return ops
+        return blocks
 
     # ------------------------------------------------------------------
     # parity messaging
     # ------------------------------------------------------------------
-    def _parity_op(
-        self, action: str, key: int, rank: int, delta: bytes, length: int
-    ) -> dict:
-        # The sequence number is taken at *creation* time, after the
-        # local mutation: "everything through seq S is reflected in my
-        # store" then holds by construction, which is what lets a parity
-        # spare rebuilt from dumps treat any in-flight retransmission of
-        # seq <= S as a duplicate.
-        self._parity_seq += 1
-        op = {
-            "op": action,
-            "key": key,
-            "rank": rank,
-            "pos": self.position,
-            "delta": delta,
-            "length": length,
-            "seq": self._parity_seq,
-        }
-        if self._wal is not None:
-            # WAL-before-send: the mutation already applied locally, and
-            # it hits disk before the Δ leaves (or the op is acked), so
-            # every acked operation is in the durable prefix + fsync
-            # staleness window by construction.
-            self._log_entry(op)
-        return op
-
-    def _send_parity(self, op: dict) -> None:
-        if "drop_parity_seq" in mutants.ACTIVE and op["op"] == "update":
-            # Validation mutant: silently drop every second update Δ
-            # *and roll the sequence counter back*, so the channel sees
-            # no gap — the self-reporting report.stale machinery stays
-            # blind and parity silently decodes stale after the next
-            # bucket loss (tests/check/test_mutants.py).
-            self._mutant_update_deltas = (
-                getattr(self, "_mutant_update_deltas", 0) + 1
-            )
-            if self._mutant_update_deltas % 2 == 0:
-                self._parity_seq -= 1
-                return
-        if self._coalesce_depth:
-            # Client-batch coalescing: hold every Δ (no size-triggered
-            # flush) and ship one parity.batch per target at batch end.
-            self._parity_queue.append(op)
-            return
-        if self.parity_batch_size > 1:
-            # Lazy mode: queue and flush when the batch fills.  The
-            # queue is the vulnerability window — a crash loses it.
-            self._parity_queue.append(op)
-            if len(self._parity_queue) >= self.parity_batch_size:
-                self.flush_parity()
-            return
-        self._fanout("parity.update", op)
-
     def _parity_block(
         self,
         action: str,
@@ -273,9 +256,15 @@ class RSDataServer(DataServer):
         lengths: list[int],
     ) -> dict:
         """One columnar Δ-block: a same-position ``action`` run over
-        parallel columns, carrying the next ``len(keys)`` consecutive
-        sequence numbers.  The parity bucket folds it through one
-        stacked kernel (:meth:`ParityServer._fold_block`)."""
+        parallel columns with distinct ranks, carrying the next
+        ``len(keys)`` consecutive sequence numbers from ``seq0``.
+
+        The numbers are taken at *creation* time, after the local
+        mutation: "everything through seq S is reflected in my store"
+        then holds by construction, which is what lets a parity spare
+        rebuilt from dumps treat any in-flight retransmission of
+        seq <= S as a duplicate.
+        """
         seq0 = self._parity_seq + 1
         self._parity_seq += len(keys)
         block = {
@@ -288,64 +277,84 @@ class RSDataServer(DataServer):
             "lengths": lengths,
         }
         if self._wal is not None:
+            # WAL-before-send: the mutation already applied locally, and
+            # it hits disk before the Δ leaves (or the op is acked), so
+            # every acked operation is in the durable prefix + fsync
+            # staleness window by construction.
             self._log_entry(block)
         return block
 
-    def _send_parity_block(self, block: dict) -> None:
-        """Queue one columnar block in the Δ stream (FIFO with per-op
-        Δs); blocks only arise inside a coalesced client batch, but a
-        bare one still flushes immediately to keep stream order."""
-        self._parity_queue.append(block)
-        if not self._coalesce_depth:
-            self.flush_parity()
+    def _records_block(
+        self, action: str, records: list[tuple[int, bytes]], ranks: list[int]
+    ) -> list[dict]:
+        """The Δ-block inserting ``records`` ((key, payload) pairs) into
+        ``ranks`` or deleting them from there — a list of one, or empty
+        when there are no records."""
+        if not records:
+            return []
+        payloads = [payload for _, payload in records]
+        lengths = (
+            [len(payload) for payload in payloads] if action == "insert"
+            else [0] * len(records)
+        )
+        return [self._parity_block(
+            action, [key for key, _ in records], ranks, payloads, lengths
+        )]
 
-    @staticmethod
-    def _parity_batch_size_of(ops: list[dict]) -> int:
-        """Wire size of a ``{"ops": [...]}`` parity batch, arithmetically.
-
-        A per-op Δ is a 7-field :meth:`_parity_op` dict (26 bytes of key
-        strings + five 8-byte ints + the action string + the Δ bytes); a
-        columnar block is 34 bytes of key strings, the action, two
-        8-byte ints and three 8-byte-int columns plus the Δ bytes.  The
-        envelope's generic payload walk is replaced by one sum, computed
-        once per batch instead of once per parity target.
-        ``tests/core/test_batch_ops.py`` pins equality with
-        :func:`~repro.sim.messages.estimate_size`.
-        """
-        total = HEADER_BYTES + 3
-        for op in ops:
-            if "block" in op:
-                total += (
-                    50 + len(op["block"]) + 24 * len(op["keys"])
-                    + sum(len(d) for d in op["deltas"])
-                )
-            else:
-                total += 66 + len(op["op"]) + len(op["delta"])
-        return total
+    def _send_parity(self, block: dict) -> None:
+        """Ship one record-level Δ-block (scalar op or vectorized run)."""
+        if "drop_parity_seq" in mutants.ACTIVE and block["block"] == "update":
+            # Validation mutant: silently drop every second update Δ
+            # *and roll the sequence counter back*, so the channel sees
+            # no gap — the self-reporting report.stale machinery stays
+            # blind and parity silently decodes stale after the next
+            # bucket loss (tests/check/test_mutants.py).
+            self._mutant_update_deltas = (
+                getattr(self, "_mutant_update_deltas", 0) + 1
+            )
+            if self._mutant_update_deltas % 2 == 0:
+                self._parity_seq -= len(block["keys"])
+                return
+        if self._coalesce_depth or self.parity_batch_size > 1:
+            # Client-batch coalescing holds every Δ (no size-triggered
+            # flush) and ships one parity.batch per target at batch end.
+            # Lazy mode flushes when the batch fills; the queue is the
+            # vulnerability window — a crash loses it.
+            self._parity_queue.append(block)
+            if (
+                not self._coalesce_depth
+                and len(self._parity_queue) >= self.parity_batch_size
+            ):
+                self.flush_parity()
+            return
+        self._fanout("parity.update", block,
+                     size=HEADER_BYTES + block_size(block))
 
     def flush_parity(self) -> int:
-        """Ship every queued Δ-record now; returns how many flushed."""
+        """Ship every queued Δ-block now; returns how many flushed."""
         if not self._parity_queue:
             return 0
-        ops, self._parity_queue = self._parity_queue, []
-        self._fanout("parity.batch", {"ops": ops},
-                     size=self._parity_batch_size_of(ops))
-        return len(ops)
+        blocks, self._parity_queue = self._parity_queue, []
+        self._send_blocks(blocks)
+        return len(blocks)
 
-    def _send_parity_batch(self, ops: list[dict]) -> None:
+    def _send_blocks(self, blocks: list[dict]) -> None:
+        """One ``parity.batch`` per target, sized arithmetically once."""
+        size = HEADER_BYTES + 3 + sum(map(block_size, blocks))
+        self._fanout("parity.batch", {"ops": blocks}, size=size)
+
+    def _send_parity_batch(self, blocks: list[dict]) -> None:
         if self._coalesce_depth:
             # Mid-client-batch structural work (split deletes, merges,
             # compaction) joins the coalesced queue; seqs were taken at
             # creation, so queue order stays the Δ-stream order.
-            self._parity_queue.extend(ops)
+            self._parity_queue.extend(blocks)
             return
         # Structural batches (splits, merges, compaction) must apply
         # after any queued per-record Δs — flush preserves FIFO order.
         self.flush_parity()
-        if not ops:
-            return
-        self._fanout("parity.batch", {"ops": ops},
-                     size=self._parity_batch_size_of(ops))
+        if blocks:
+            self._send_blocks(blocks)
 
     def _fanout(self, kind: str, payload: Any, size: int = 0) -> None:
         """One Δ (or batch) to every parity target, then escalations.
@@ -449,7 +458,9 @@ class RSDataServer(DataServer):
         rank = self._take_rank()
         self._assign_rank(key, rank)
         self.bucket.put(key, value)
-        self._send_parity(self._parity_op("insert", key, rank, value, len(value)))
+        self._send_parity(
+            self._parity_block("insert", [key], [rank], [value], [len(value)])
+        )
 
     def apply_update(self, key: int, value: bytes) -> None:
         if key not in self.bucket:
@@ -458,8 +469,9 @@ class RSDataServer(DataServer):
         old = self.bucket.get(key)
         self.bucket.put(key, value)
         self._send_parity(
-            self._parity_op(
-                "update", key, self.ranks[key], delta_payload(old, value), len(value)
+            self._parity_block(
+                "update", [key], [self.ranks[key]],
+                [delta_payload(old, value)], [len(value)],
             )
         )
 
@@ -468,8 +480,10 @@ class RSDataServer(DataServer):
             return
         payload = self.bucket.delete(key)
         rank = self._unassign_rank(key)
-        self._send_parity(self._parity_op("delete", key, rank, payload, 0))
         self._release_rank(rank)
+        self._send_parity(
+            self._parity_block("delete", [key], [rank], [payload], [0])
+        )
         self._send_parity_batch(self._compact())
 
     # ------------------------------------------------------------------
@@ -569,7 +583,7 @@ class RSDataServer(DataServer):
             keys.append(key)
             values.append(value)
             lengths.append(len(value))
-        self._send_parity_block(
+        self._send_parity(
             self._parity_block("insert", keys, ranks, values, lengths)
         )
         # The run fits under capacity, so this is the scalar sequence's
@@ -609,7 +623,7 @@ class RSDataServer(DataServer):
             start = idx * row_bytes
             deltas.append(blob[start:start + lengths[idx]])
             new_lengths.append(len(new))
-        self._send_parity_block(
+        self._send_parity(
             self._parity_block("update", keys, ranks, deltas, new_lengths)
         )
         # No size change and no report pending (run precondition), so
@@ -629,22 +643,22 @@ class RSDataServer(DataServer):
             self.level,
             self.n0,
         )
-        # Remove the movers from this group's record groups (batched).
-        # Local state mutates *before* the parity send: a parity spare
-        # rebuilt mid-send encodes from current data, so the in-flight
-        # batch must already be reflected locally (see _send_parity_to).
-        delete_ops = []
-        for key, payload in move:
-            rank = self._unassign_rank(key)
-            delete_ops.append(self._parity_op("delete", key, rank, payload, 0))
+        # Remove the movers from this group's record groups: one delete
+        # block, then the compaction blocks (which may reuse the freed
+        # ranks, so they follow it in the Δ stream).  Local state
+        # mutates *before* the parity send: a parity spare rebuilt
+        # mid-send encodes from current data, so the in-flight batch
+        # must already be reflected locally (see _send_parity_to).
+        ranks = [self._unassign_rank(key) for key, _ in move]
+        for rank in ranks:
             self._release_rank(rank)
-        delete_ops.extend(self._compact())
         self.bucket.records = dict(stay)
+        blocks = self._records_block("delete", move, ranks) + self._compact()
         self.bucket.level += 1
         self._last_reported_size = -1
         if self._wal is not None:
             self._log_entry({"ctl": "level", "level": self.bucket.level})
-        self._send_parity_batch(delete_ops)
+        self._send_parity_batch(blocks)
         self.send(
             data_node(self.file_id, target),
             "records.bulk",
@@ -654,15 +668,12 @@ class RSDataServer(DataServer):
         return {"moved": len(move), "kept": len(stay)}
 
     def handle_records_bulk(self, message: Message) -> None:
-        insert_ops = []
-        for key, payload in message.payload["records"]:
-            rank = self._take_rank()
+        records = message.payload["records"]
+        ranks = self._take_ranks(len(records))
+        for (key, payload), rank in zip(records, ranks):
             self._assign_rank(key, rank)
             self.bucket.put(key, payload)
-            insert_ops.append(
-                self._parity_op("insert", key, rank, payload, len(payload))
-            )
-        self._send_parity_batch(insert_ops)
+        self._send_parity_batch(self._records_block("insert", records, ranks))
         self._report_overflow_if_needed()
 
     def handle_merge(self, message: Message) -> Any:
@@ -678,16 +689,15 @@ class RSDataServer(DataServer):
         into = message.payload["into"]
         records = list(self.bucket.records.items())
         if not message.payload.get("retiring"):
-            delete_ops = [
-                self._parity_op("delete", key, self.ranks[key], payload, 0)
-                for key, payload in records
-            ]
+            ranks = [self.ranks[key] for key, _ in records]
             self.ranks.clear()
             self._rank_to_key.clear()
             self._free_ranks.clear()
             self._rank_counter = 0
             self.bucket.records = {}
-            self._send_parity_batch(delete_ops)
+            self._send_parity_batch(
+                self._records_block("delete", records, ranks)
+            )
         else:
             self.ranks.clear()
             self._rank_to_key.clear()
@@ -707,7 +717,9 @@ class RSDataServer(DataServer):
         rank = self._take_rank()
         self._assign_rank(key, rank)
         self.bucket.put(key, value)
-        self._send_parity(self._parity_op("insert", key, rank, value, len(value)))
+        self._send_parity(
+            self._parity_block("insert", [key], [rank], [value], [len(value)])
+        )
 
     # ------------------------------------------------------------------
     # configuration & recovery support
@@ -838,12 +850,14 @@ class RSDataServer(DataServer):
         return net.fault_plane.disk_profile(self.node_id, net.now)
 
     def _log_entry(self, entry: dict) -> None:
-        """One WAL frame (mutation op/block or a ``ctl`` record).
+        """One WAL frame (a Δ-block or a ``ctl`` record).
 
-        Sequenced entries also join the in-RAM history ring that serves
-        a restarted parity bucket's catch-up ask.  Disk errors are
+        Δ-blocks also join the in-RAM history ring that serves a
+        restarted parity bucket's catch-up ask.  Disk errors are
         fail-stop (:meth:`_fail_stop`): a bucket that cannot log must
         not keep mutating, or its disk diverges from its acked state.
+        A full interval marks a checkpoint due; :meth:`receive` writes
+        it at the outermost handler boundary.
         """
         try:
             self._wal.append(entry)
@@ -853,7 +867,7 @@ class RSDataServer(DataServer):
             self._delta_history.append(entry)
         self._appends_since_ckpt += 1
         if self._appends_since_ckpt >= self._ckpt_interval:
-            self.checkpoint_now()
+            self._checkpoint_due = True
 
     def _fail_stop(self) -> None:
         """Crash the node rather than run past a disk write it lost."""
@@ -887,6 +901,7 @@ class RSDataServer(DataServer):
         except DiskError:
             self._fail_stop()
         self._appends_since_ckpt = 0
+        self._checkpoint_due = False
         net = self.network
         if net is not None and net.tracer is not None:
             net.tracer.emit(
@@ -940,6 +955,7 @@ class RSDataServer(DataServer):
         self._parity_seq = 0
         self._delta_history.clear()
         self._appends_since_ckpt = 0
+        self._checkpoint_due = False
         if state is None or state.get("kind") != "data":
             # No readable checkpoint (torn or rotted): the tail has no
             # base to replay onto — everything on disk is suspect.
@@ -955,7 +971,7 @@ class RSDataServer(DataServer):
                 self.bucket.put(key, payload)
                 self._assign_rank(key, rank)
             self._parity_seq = state["parity_seq"]
-            self._parity_queue = [dict(op) for op in state["queue"]]
+            self._parity_queue = [dict(block) for block in state["queue"]]
             for entry in tail:
                 self._replay_entry(entry)
                 if "ctl" not in entry:
@@ -1029,16 +1045,10 @@ class RSDataServer(DataServer):
                 self._free_ranks = []
                 self._rank_counter = 0
             return
-        if "block" in entry:
-            for key, rank, delta, length in zip(
-                entry["keys"], entry["ranks"], entry["deltas"], entry["lengths"]
-            ):
-                self._replay_one(entry["block"], key, rank, delta, length)
-            return
-        self._replay_one(
-            entry["op"], entry["key"], entry["rank"], entry["delta"],
-            entry["length"],
-        )
+        for key, rank, delta, length in zip(
+            entry["keys"], entry["ranks"], entry["deltas"], entry["lengths"]
+        ):
+            self._replay_one(entry["block"], key, rank, delta, length)
 
     def _replay_one(
         self, action: str, key: int, rank: int, delta: bytes, length: int
@@ -1076,11 +1086,9 @@ class RSDataServer(DataServer):
                     heapq.heappush(self._free_ranks, self._rank_counter)
 
     @staticmethod
-    def _entry_seq_range(entry: dict) -> tuple[int, int]:
-        """Inclusive Δ-sequence span of one logged entry."""
-        if "block" in entry:
-            return entry["seq0"], entry["seq0"] + len(entry["keys"]) - 1
-        return entry["seq"], entry["seq"]
+    def _entry_seq_range(block: dict) -> tuple[int, int]:
+        """Inclusive Δ-sequence span of one logged Δ-block."""
+        return block["seq0"], block["seq0"] + len(block["keys"]) - 1
 
     # -- serving catch-up ----------------------------------------------
     def handle_wal_tail(self, message: Message) -> dict:
@@ -1167,8 +1175,7 @@ class RSDataServer(DataServer):
             resend.reverse()
             self._parity_queue = []
             if resend:
-                self._fanout("parity.batch", {"ops": resend},
-                             size=self._parity_batch_size_of(resend))
+                self._send_blocks(resend)
         else:
             # Every parity channel is at (or past) our durable prefix:
             # the restored queue is all duplicates.

@@ -10,23 +10,23 @@ every availability level k > i, so raising a group's k never touches
 existing parity buckets — the property scalable availability leans on.
 Row 0 is all ones, making parity bucket 0 a pure XOR site.
 
-Idempotence: every sequenced Δ carries the sending data bucket's
-monotonic operation sequence number, and this bucket tracks the next
-expected number per group position.  A Δ below the expectation is a
-retransmission and is *skipped* — folding it again would silently
-corrupt the parity, since the fold is its own inverse in GF(2^w).  A Δ
-above it proves this bucket missed traffic (a dropped message): it
-reports itself stale to the coordinator, which rebuilds it from the
-group's data.  Unsequenced Δs (coordinator encode batches) apply
-unconditionally.
+Δs travel as columnar *Δ-blocks* — ``{block: insert|update|delete,
+pos, seq0, keys, ranks, deltas, lengths}``, one group position, distinct
+ranks — and every path that changes parity (``parity.update``,
+``parity.batch``, ``catchup.parity``, WAL replay) goes through one fold
+(:meth:`ParityServer._fold`): scale the stacked Δs once, scatter them
+into the bucket's :class:`~repro.core.stripe_store.StripeStore` matrix
+in one pass, update the directories.
 
-Storage comes in two layouts.  The classic one keeps one numpy array per
-parity record.  With ``stripe_store=True`` (the file default) all
-records pack into one contiguous :class:`~repro.core.stripe_store.
-StripeStore` matrix with a rank→row map; ``record.symbols`` are then row
-*views*, dumps render the whole bucket in one bytes pass, signature
-scans run as one 2D kernel, and bulk encode batches land as one
-``gf_matmul`` over the stacked Δ matrix.
+Idempotence: a sequenced block carries the sending data bucket's
+monotonic operation sequence numbers ``seq0`` .. ``seq0`` + n - 1, and
+this bucket tracks the next expected number per group position.  Δs
+below the expectation are retransmissions and are *skipped* — folding
+them again would silently corrupt the parity, since the fold is its own
+inverse in GF(2^w).  A block starting above it proves this bucket missed
+traffic (a dropped message): it reports itself stale to the coordinator,
+which rebuilds it from the group's data.  Unsequenced blocks
+(``seq0`` None, coordinator encode batches) apply unconditionally.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from repro.check import mutants
 from repro.core.records import ParityRecord
 from repro.core.stripe_store import StripeStore
 from repro.gf.field import GF
-from repro.rs.encoder import fold_delta
 from repro.sim.faults import RetryPolicy
 from repro.sim.messages import Message
 from repro.sim.network import DeliveryFault, NodeUnavailable, UnknownNode
@@ -63,17 +62,16 @@ PARITY_FENCED_KINDS = frozenset(
     }
 )
 
+#: the actions a Δ-block may carry
+BLOCK_ACTIONS = ("insert", "update", "delete")
+
 
 class StoredParityRecord(ParityRecord):
     """A :class:`ParityRecord` whose symbols live in a StripeStore row.
 
-    ``symbols`` is rendered from the store on demand instead of being a
-    cached row view: folds write through the store directly, so there is
-    nothing to re-bind after a store reallocation — the hot batch paths
-    skip both the per-op view creation and the whole-bucket refresh a
-    cached binding would force.  Assignments to ``symbols`` are ignored
-    (every store-path assignment is a rebind of the very view the
-    property renders).
+    ``symbols`` is rendered from the store on demand: folds write
+    through the store directly, so a record never holds a view that a
+    store reallocation could invalidate.
     """
 
     def __init__(self, rank: int, store: StripeStore):
@@ -90,10 +88,6 @@ class StoredParityRecord(ParityRecord):
             return np.zeros(0, dtype=store.field.symbol_dtype)
         return store.matrix[row, : store._length[self.rank]]
 
-    @symbols.setter
-    def symbols(self, value: np.ndarray) -> None:
-        pass  # store-backed: the store row *is* the symbol state
-
 
 class ParityServer(Node):
     """One parity bucket of one bucket group."""
@@ -106,7 +100,6 @@ class ParityServer(Node):
         index: int,
         row: list[int],
         field: GF,
-        stripe_store: bool = False,
     ):
         super().__init__(node_id)
         self.file_id = file_id
@@ -115,10 +108,8 @@ class ParityServer(Node):
         self.row = list(row)
         self.field = field
         self.records: dict[int, ParityRecord] = {}
-        #: contiguous stripe layout (None = one array per record)
-        self._store: StripeStore | None = (
-            StripeStore(field) if stripe_store else None
-        )
+        #: every record's parity symbols, one row per rank
+        self._store = StripeStore(field)
         #: next expected Δ sequence number per group position (default 1)
         self._expected_seq: dict[int, int] = {}
         #: retransmissions skipped / gaps detected (observability)
@@ -153,152 +144,190 @@ class ParityServer(Node):
         self._delta_log_cap = 0
         self._ckpt_interval = 0
         self._appends_since_ckpt = 0
+        #: see RSDataServer: checkpoints wait for the outermost handler
+        self._checkpoint_due = False
+        self._depth = 0
         self.epoch = 0
         self.fenced = False
         self._restarting = False
 
     # ------------------------------------------------------------------
-    # fencing
+    # fencing and the checkpoint boundary
     # ------------------------------------------------------------------
     def receive(self, message: Message):
         if self.fenced and message.kind in PARITY_FENCED_KINDS:
             failure = NodeUnavailable(self.node_id)
             failure.fenced = True
             raise failure
-        return super().receive(message)
+        self._depth += 1
+        try:
+            result = super().receive(message)
+        finally:
+            self._depth -= 1
+        if self._checkpoint_due and not self._depth:
+            self.checkpoint_now()
+        return result
 
     # ------------------------------------------------------------------
-    # storage layout helpers
+    # the Δ-block protocol
     # ------------------------------------------------------------------
-    def _fold_into(self, record: ParityRecord, coefficient: int, delta: bytes) -> None:
-        """Fold one Δ into a record under the active storage layout."""
-        if self._store is None:
-            record.symbols = fold_delta(
-                self.field, record.symbols, coefficient, delta
-            )
-            return
-        needed = self.field.symbol_length_for_bytes(len(delta))
-        length = max(needed, len(record.symbols))
-        self._store.ensure(record.rank, length)
-        view = self._store.view(record.rank)
-        self.field.scale_accumulate(view, coefficient, delta)
+    def _validate(self, block: dict) -> None:
+        """Reject a malformed Δ-block before it touches any state.
 
-    def _refresh_views(self) -> None:
-        """Re-bind every record's symbols view after a store reallocation."""
-        assert self._store is not None
-        for rank, record in self.records.items():
-            record.symbols = self._store.view(rank)
-
-    def _new_record(self, rank: int) -> ParityRecord:
-        """A record under the active storage layout (store rows = lazy)."""
-        if self._store is None:
-            return ParityRecord(rank=rank)
-        return StoredParityRecord(rank, self._store)
-
-    def _drop_record(self, rank: int) -> None:
-        del self.records[rank]
-        if self._store is not None and rank in self._store:
-            self._store.release(rank)
-
-    def _count_fold(self, coefficient: int, delta_len: int) -> None:
-        self.symbol_ops += self.field.symbol_length_for_bytes(delta_len)
-        if coefficient == 1:
-            self.xor_folds += 1
-        else:
-            self.general_folds += 1
-
-    # ------------------------------------------------------------------
-    # the Δ-record protocol
-    # ------------------------------------------------------------------
-    def _apply(self, op: dict) -> None:
-        rank = op["rank"]
-        pos = op["pos"]
+        Raising after a partial fold would leave corrupted parity behind
+        an exception the sender may retry past.  Ranks must be distinct:
+        the store's fancy-index scatter would silently drop all but one
+        fold of a repeated rank.
+        """
+        action = block["block"]
+        if action not in BLOCK_ACTIONS:
+            raise ValueError(f"unknown parity op {action!r}")
+        pos = block["pos"]
         if not 0 <= pos < len(self.row):
             raise ValueError(
                 f"group position {pos} outside 0..{len(self.row) - 1}"
             )
-        # Validate the action BEFORE touching any state: folding the Δ
-        # first and raising after would leave corrupted parity behind an
-        # exception the sender may retry past.
-        action = op["op"]
-        if action not in ("insert", "update", "delete"):
-            raise ValueError(f"unknown parity op {action!r}")
-        record = self.records.get(rank)
-        created = record is None
-        if created:
-            record = self._new_record(rank)
-            self.records[rank] = record
+        n = len(block["ranks"])
+        if not len(block["keys"]) == len(block["deltas"]) == len(
+            block["lengths"]
+        ) == n:
+            raise ValueError("Δ-block columns differ in length")
+        if n > 1 and len(set(block["ranks"])) != n:
+            raise ValueError("Δ-block repeats a rank")
 
-        coefficient = self.row[pos]
-        try:
-            self._fold_into(record, coefficient, op["delta"])
-        except BaseException:
-            if created:
-                # Crash between row allocation and directory insert: roll
-                # the allocation back so parity.locate / parity.dump
-                # never see a half-born record.
-                self._drop_record(rank)
-            raise
-        self._count_fold(coefficient, len(op["delta"]))
+    def _channel_check(self, block: dict) -> int | None:
+        """Validate one Δ-block and classify it against its channel.
 
-        if action == "insert":
-            record.keys[pos] = op["key"]
-            record.lengths[pos] = op["length"]
-            self._key_index[op["key"]] = (rank, pos)
-        elif action == "update":
-            record.lengths[pos] = op["length"]
-        else:  # delete
-            record.keys.pop(pos, None)
-            record.lengths.pop(pos, None)
-            self._key_index.pop(op["key"], None)
-            if "double_apply_delete" in mutants.ACTIVE and record.keys:
-                # Validation mutant: fold the delete Δ a second time.
-                # GF(2) folding is self-inverse, so the second fold
-                # re-adds the deleted payload into the parity symbols,
-                # corrupting every later reconstruction of the rank's
-                # surviving members (tests/check/test_mutants.py).
-                self._fold_into(record, coefficient, op["delta"])
-            if not record.keys:
-                # All members gone: the accumulated deltas cancel exactly.
-                self._drop_record(rank)
-
-    def _channel_check(self, op: dict) -> str:
-        """Classify one Δ against its channel: apply / duplicate / stale.
-
-        ``apply`` advances the channel.  ``duplicate`` (seq below the
-        expectation) must be skipped.  ``stale`` (seq above it) means a
-        prior Δ never arrived — this bucket's content is behind its data
-        and must be rebuilt, so the Δ is *not* applied either.
-        Unsequenced ops (``seq`` absent/None) always apply and leave the
-        channel untouched.
+        A sequenced block covers ``seq0`` .. ``seq0`` + n - 1.  Returns
+        how many leading Δs are retransmissions (below the expectation)
+        to skip — all n for a pure duplicate — and advances the channel
+        past the rest, which the caller must then fold.  ``None`` means
+        the block starts above the expectation: a prior Δ never arrived,
+        this bucket's content is behind its data and must be rebuilt, so
+        nothing is applied.  Unsequenced blocks (``seq0`` None, the
+        coordinator's encode batches) always apply and leave the channel
+        untouched.  One ``parity.delta`` trace event per sequenced Δ.
         """
-        seq = op.get("seq")
-        if seq is None:
-            return "apply"
-        pos = op["pos"]
+        self._validate(block)
+        seq0 = block["seq0"]
+        if seq0 is None:
+            return 0
+        pos = block["pos"]
+        n = len(block["ranks"])
         expected = self._expected_seq.get(pos, 1)
-        if seq < expected:
-            self.duplicates_skipped += 1
-            verdict = "duplicate"
-        elif seq > expected:
+        if seq0 > expected:
             self.gaps_detected += 1
             self.stale = True
-            verdict = "stale"
+            skip = None
         else:
-            self._expected_seq[pos] = expected + 1
-            verdict = "apply"
+            skip = min(expected - seq0, n)
+            self.duplicates_skipped += skip
+            if skip < n:
+                self._expected_seq[pos] = seq0 + n
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
-            tracer.emit(
-                "parity.delta",
-                node=self.node_id,
-                pos=pos,
-                seq=seq,
-                expected=expected,
-                verdict=verdict,
-                op=op["op"],
-            )
-        return verdict
+            if skip is None:
+                verdicts = [(seq0, expected, "stale")]
+            else:
+                verdicts = [
+                    (seq0 + i, expected, "duplicate") for i in range(skip)
+                ] + [(seq, seq, "apply") for seq in range(seq0 + skip, seq0 + n)]
+            for seq, expect, verdict in verdicts:
+                tracer.emit(
+                    "parity.delta", node=self.node_id, pos=pos, seq=seq,
+                    expected=expect, verdict=verdict, op=block["block"],
+                )
+        return skip
+
+    def _fold(self, block: dict, skip: int = 0, log: bool = True) -> int:
+        """Fold a channel-checked Δ-block past its first ``skip`` Δs.
+
+        The one parity fold: scale the stacked Δs by this bucket's
+        coefficient for the block's position (the all-ones first row
+        folds by plain XOR), scatter them into the store in one pass,
+        then update the directories.  A delete that empties a record
+        group drops it — the accumulated Δs cancel exactly.  With
+        durability on, sequenced Δs join the catch-up ring and (``log``)
+        the applied part of the block is written to the WAL.  Returns
+        how many Δs were folded.
+        """
+        action = block["block"]
+        pos = block["pos"]
+        keys = block["keys"]
+        ranks = block["ranks"]
+        deltas = block["deltas"]
+        lengths = block["lengths"]
+        if skip:
+            keys, ranks = keys[skip:], ranks[skip:]
+            deltas, lengths = deltas[skip:], lengths[skip:]
+        n = len(ranks)
+        if not n:
+            return 0
+        field = self.field
+        if field.width == 8:
+            needs = [len(d) for d in deltas]
+        else:
+            needs = [field.symbol_length_for_bytes(len(d)) for d in deltas]
+        stacked = field.stack_payloads(deltas, max(needs))
+        coefficient = self.row[pos]
+        if coefficient == 1:
+            scaled = stacked  # rows are only read below; alias is safe
+        else:
+            scaled = field.mul_matrix(stacked, coefficient)
+        store, records = self._store, self.records
+        try:
+            store.scatter_xor(ranks, needs, scaled)
+        except BaseException:
+            # Crash between row allocation and the directory update:
+            # roll fresh rows back so parity.locate / parity.dump never
+            # see a half-born record.
+            for rank in ranks:
+                if rank not in records and rank in store:
+                    store.release(rank)
+            raise
+        self.symbol_ops += sum(needs)
+        if coefficient == 1:
+            self.xor_folds += n
+        else:
+            self.general_folds += n
+        key_index = self._key_index
+        for i, rank in enumerate(ranks):
+            record = records.get(rank)
+            if record is None:
+                record = records[rank] = StoredParityRecord(rank, store)
+            if action == "insert":
+                record.keys[pos] = keys[i]
+                record.lengths[pos] = lengths[i]
+                key_index[keys[i]] = (rank, pos)
+            elif action == "update":
+                record.lengths[pos] = lengths[i]
+            else:  # delete
+                record.keys.pop(pos, None)
+                record.lengths.pop(pos, None)
+                key_index.pop(keys[i], None)
+                if "double_apply_delete" in mutants.ACTIVE and record.keys:
+                    # Validation mutant: fold the delete Δ a second time.
+                    # GF(2) folding is self-inverse, so the second fold
+                    # re-adds the deleted payload into the parity symbols,
+                    # corrupting every later reconstruction of the rank's
+                    # surviving members (tests/check/test_mutants.py).
+                    store.scatter_xor([rank], [needs[i]], scaled[i:i + 1])
+                if not record.keys:
+                    del records[rank]
+                    store.release(rank)
+        if self._wal is not None:
+            seq0 = block["seq0"]
+            if seq0 is not None:
+                seq0 += skip
+                self._delta_log.setdefault(
+                    pos, deque(maxlen=self._delta_log_cap)
+                ).extend(zip(range(seq0, seq0 + n), [action] * n, keys, ranks))
+            if log:
+                self._log_entry(block if not skip else {
+                    "block": action, "pos": pos, "seq0": seq0, "keys": keys,
+                    "ranks": ranks, "deltas": deltas, "lengths": lengths,
+                })
+        return n
 
     def _report_stale(self) -> None:
         """Tell the coordinator this bucket missed Δ traffic (rebuild me).
@@ -333,387 +362,54 @@ class ParityServer(Node):
         return dict(self.coord_checkpoint)
 
     def handle_parity_update(self, message: Message) -> dict:
-        """One Δ-record from a data bucket (insert/update/delete).
+        """One Δ-block from a data bucket (a scalar op's block of one).
 
         The return value is the ack in ``parity_ack`` mode; plain sends
         discard it.
         """
-        verdict = self._channel_check(message.payload)
-        if verdict == "apply":
-            self._apply(message.payload)
-            if self._wal is not None:
-                self._record_applied_ops([message.payload])
-            return {"status": "applied"}
-        if verdict == "stale":
+        block = message.payload
+        skip = self._channel_check(block)
+        if skip is None:
             self._report_stale()
+            verdict = "stale"
+        elif self._fold(block, skip):
+            return {"status": "applied"}
+        else:
+            verdict = "duplicate"
         return {
             "status": verdict,
-            "expected": self._expected_seq.get(message.payload["pos"], 1),
+            "expected": self._expected_seq.get(block["pos"], 1),
         }
 
-    # ------------------------------------------------------------------
-    # batch application
-    # ------------------------------------------------------------------
-    def _bulk_encodable(self, ops: list[dict]) -> bool:
-        """Whole-group encode batches can skip the per-op fold loop.
-
-        Eligible when this bucket is empty and every op is an
-        unsequenced insert hitting a distinct (rank, pos) slot — exactly
-        what the coordinator's parity (re)build paths ship.
-        """
-        if self.records or not ops:
-            return False
-        seen: set[tuple[int, int]] = set()
-        for op in ops:
-            if op.get("seq") is not None or op.get("op") != "insert":
-                return False
-            if not 0 <= op["pos"] < len(self.row):
-                return False  # per-op path raises the proper ValueError
-            slot = (op["rank"], op["pos"])
-            if slot in seen:
-                return False
-            seen.add(slot)
-        return True
-
-    def _bulk_encode(self, ops: list[dict]) -> int:
-        """Encode a whole-group insert batch as one 2D kernel call.
-
-        Packs the Δ payloads into an (m x nranks x L) tensor and applies
-        this bucket's generator row with a single ``gf_matmul`` — one
-        table gather + XOR per coefficient instead of one fold dispatch
-        per record.  Bit-exact with the per-op path (verified by the
-        stripe property tests); the symbol-op accounting still charges
-        the per-record work actually done.
-        """
-        field = self.field
-        m = len(self.row)
-        by_rank: dict[int, list[dict]] = {}
-        for op in ops:
-            by_rank.setdefault(op["rank"], []).append(op)
-        ranks = sorted(by_rank)
-        length = max(
-            field.symbol_length_for_bytes(len(op["delta"])) for op in ops
-        )
-        grid: list[list[bytes | None]] = [[None] * len(ranks) for _ in range(m)]
-        for r, rank in enumerate(ranks):
-            for op in by_rank[rank]:
-                grid[op["pos"]][r] = op["delta"]
-        stacked = np.stack(
-            [field.stack_payloads(column, length) for column in grid]
-        )
-        parity = field.gf_matmul([self.row], stacked)[0]
-
-        for r, rank in enumerate(ranks):
-            record = self._new_record(rank)
-            stripe = max(
-                field.symbol_length_for_bytes(len(op["delta"]))
-                for op in by_rank[rank]
-            )
-            if self._store is None:
-                record.symbols = parity[r, :stripe].copy()
-            else:
-                self._store.ensure(rank, stripe)
-                self._store.view(rank)[:] = parity[r, :stripe]
-            for op in by_rank[rank]:
-                pos = op["pos"]
-                record.keys[pos] = op["key"]
-                record.lengths[pos] = op["length"]
-                self._key_index[op["key"]] = (rank, pos)
-                self._count_fold(self.row[pos], len(op["delta"]))
-            self.records[rank] = record
-        return len(ops)
-
-    def _expand_block(self, block: dict) -> list[dict]:
-        """Per-op Δ-record dicts equivalent to one columnar block."""
-        action = block["block"]
-        pos = block["pos"]
-        seq0 = block["seq0"]
-        return [
-            {
-                "op": action, "key": key, "rank": rank, "pos": pos,
-                "delta": delta, "length": length, "seq": seq0 + i,
-            }
-            for i, (key, rank, delta, length) in enumerate(
-                zip(block["keys"], block["ranks"],
-                    block["deltas"], block["lengths"])
-            )
-        ]
-
-    def _fold_block(self, block: dict) -> tuple[int, bool]:
-        """Fold one columnar Δ-block; returns (applied, stale).
-
-        The block is a same-position insert/update run with consecutive
-        sequence numbers (``seq0`` .. ``seq0`` + n - 1) and distinct
-        ranks — what a data bucket's vectorized batch apply emits.  On a
-        healthy channel (``seq0`` equals the expectation) the whole
-        block channel-checks in one comparison and folds through one
-        stacked kernel + scatter.  Anything else — retransmissions,
-        gaps, the per-record storage layout, malformed shapes — expands
-        to per-op Δs and takes the exact scalar path, so verdicts,
-        counters and trace events match op-for-op.
-        """
-        pos = block["pos"]
-        ranks = block["ranks"]
-        n = len(ranks)
-        expected = self._expected_seq.get(pos, 1)
-        store = self._store
-        if (
-            store is None
-            or n == 0
-            or block["seq0"] != expected
-            or block["block"] not in ("insert", "update")
-            or not 0 <= pos < len(self.row)
-            or len(set(ranks)) != n
-        ):
-            applied = 0
-            for op in self._expand_block(block):
-                verdict = self._channel_check(op)
-                if verdict == "apply":
-                    self._apply(op)
-                    if self._wal is not None:
-                        self._record_applied_ops([op])
-                    applied += 1
-                elif verdict == "stale":
-                    return applied, True
-            return applied, False
-        self._expected_seq[pos] = expected + n
-        field = self.field
-        deltas = block["deltas"]
-        if field.symbol_dtype.itemsize == 1:
-            needs = [len(d) for d in deltas]
-        else:
-            needs = [field.symbol_length_for_bytes(len(d)) for d in deltas]
-        stacked = field.stack_payloads(deltas, max(needs))
-        coefficient = self.row[pos]
-        if coefficient == 1:
-            scaled = stacked  # rows are only read below; alias is safe
-        else:
-            scaled = field.mul_matrix(stacked, coefficient)
-        store.scatter_xor(ranks, needs, scaled)
-        action = block["block"]
-        keys = block["keys"]
-        lengths = block["lengths"]
-        records = self.records
-        key_index = self._key_index
-        for i in range(n):
-            rank = ranks[i]
-            record = records.get(rank)
-            if record is None:
-                record = StoredParityRecord(rank, store)
-                records[rank] = record
-            if action == "insert":
-                record.keys[pos] = keys[i]
-                key_index[keys[i]] = (rank, pos)
-            record.lengths[pos] = lengths[i]
-        tracer = self.network.tracer if self.network is not None else None
-        if tracer is not None:
-            seq0 = block["seq0"]
-            for i in range(n):
-                tracer.emit(
-                    "parity.delta", node=self.node_id, pos=pos,
-                    seq=seq0 + i, expected=expected + i,
-                    verdict="apply", op=action,
-                )
-        self.symbol_ops += sum(needs)
-        if coefficient == 1:
-            self.xor_folds += n
-        else:
-            self.general_folds += n
-        if self._wal is not None:
-            seq0 = block["seq0"]
-            ring = self._delta_log.setdefault(
-                pos, deque(maxlen=self._delta_log_cap)
-            )
-            for i in range(n):
-                ring.append((seq0 + i, action, keys[i], ranks[i]))
-            self._log_entry({"pblock": block})
-        return n, False
-
-    def _bulk_foldable(self, ops: list[dict], start: int) -> int:
-        """Length of the one-kernel-foldable run at ``start``.
-
-        A run is sequenced insert/update Δs sharing one (valid) group
-        position — exactly the shape of a coalesced client batch from
-        one data bucket.  Deletes (record-group bookkeeping, possible
-        drop) and unsequenced ops stay on the per-op path, splitting the
-        batch into segments.
-        """
-        pos = ops[start]["pos"]
-        if not 0 <= pos < len(self.row):
-            return 0  # per-op path raises the proper ValueError
-        run = start
-        while run < len(ops):
-            op = ops[run]
-            if (
-                op.get("seq") is None
-                or op["op"] not in ("insert", "update")
-                or op["pos"] != pos
-            ):
-                break
-            run += 1
-        return run - start
-
-    def _bulk_fold(self, ops: list[dict]) -> tuple[int, bool]:
-        """Fold one same-position run with one stacked kernel pass.
-
-        Channel-checks every op first (collecting the appliers, skipping
-        duplicates, stopping at the first stale — the checks only touch
-        ``_expected_seq``, which no fold reads, so check-then-fold is
-        order-equivalent to the scalar interleaving), then scales the
-        whole stacked Δ matrix by the position's coefficient in ONE
-        table gather and folds row by row.  Returns (applied, stale).
-        """
-        pos = ops[0]["pos"]
-        applies: list[dict] = []
-        stale = False
-        for op in ops:
-            verdict = self._channel_check(op)
-            if verdict == "apply":
-                applies.append(op)
-            elif verdict == "stale":
-                stale = True
-                break
-        if not applies:
-            return 0, stale
-        field = self.field
-        coefficient = self.row[pos]
-        needs = [
-            field.symbol_length_for_bytes(len(op["delta"])) for op in applies
-        ]
-        stacked = field.stack_payloads(
-            [op["delta"] for op in applies], max(needs)
-        )
-        if coefficient == 1:
-            scaled = stacked  # rows are only read below; alias is safe
-        else:
-            scaled = field.mul_matrix(stacked, coefficient)
-        ranks = [op["rank"] for op in applies]
-        if self._store is not None and len(set(ranks)) == len(ranks):
-            # Store-backed with distinct ranks (every coalesced client
-            # batch: distinct keys ⇒ distinct ranks): fold the whole run
-            # in ONE fancy-index scatter instead of a per-row loop.
-            # Rows are zero beyond their logical length, so the
-            # full-width XOR is byte-identical to per-row prefix folds.
-            self._store.scatter_xor(ranks, needs, scaled)
-            records, key_index, store = self.records, self._key_index, self._store
-            for op, rank in zip(applies, ranks):
-                record = records.get(rank)
-                if record is None:
-                    record = StoredParityRecord(rank, store)
-                    records[rank] = record
-                if op["op"] == "insert":
-                    record.keys[pos] = op["key"]
-                    record.lengths[pos] = op["length"]
-                    key_index[op["key"]] = (rank, pos)
-                else:  # update
-                    record.lengths[pos] = op["length"]
-            self.symbol_ops += sum(needs)
-            if coefficient == 1:
-                self.xor_folds += len(applies)
-            else:
-                self.general_folds += len(applies)
-            if self._wal is not None:
-                self._record_applied_ops(applies)
-            return len(applies), stale
-        for op, row, needed in zip(applies, scaled, needs):
-            rank = op["rank"]
-            record = self.records.get(rank)
-            created = record is None
-            if created:
-                record = self._new_record(rank)
-                self.records[rank] = record
-            try:
-                self._fold_prescaled(record, row, needed)
-            except BaseException:
-                if created:
-                    self._drop_record(rank)
-                raise
-            self._count_fold(coefficient, len(op["delta"]))
-            if op["op"] == "insert":
-                record.keys[pos] = op["key"]
-                record.lengths[pos] = op["length"]
-                self._key_index[op["key"]] = (rank, pos)
-            else:  # update
-                record.lengths[pos] = op["length"]
-        if self._wal is not None:
-            self._record_applied_ops(applies)
-        return len(applies), stale
-
-    def _fold_prescaled(
-        self, record: ParityRecord, scaled: np.ndarray, needed: int
-    ) -> None:
-        """Fold one already-scaled Δ row, mirroring :meth:`_fold_into`
-        byte-for-byte (growth rule, store ensure, XOR extent)."""
-        if self._store is None:
-            symbols = record.symbols
-            if needed > len(symbols):
-                grown = np.zeros(needed, dtype=self.field.symbol_dtype)
-                grown[: len(symbols)] = symbols
-                symbols = grown
-            symbols[:needed] ^= scaled[:needed]
-            record.symbols = symbols
-            return
-        length = max(needed, len(record.symbols))
-        self._store.ensure(record.rank, length)
-        view = self._store.view(record.rank)
-        view[:needed] ^= scaled[:needed]
-
     def handle_parity_batch(self, message: Message) -> dict:
-        """Batched Δ-records (client batches, splits, merges, encodes).
+        """A list of Δ-blocks (client batches, splits, merges, encodes).
 
-        Whole-group encode batches (fresh bucket, unsequenced inserts)
-        take the 2D bulk path.  Sequenced same-position insert/update
-        runs — the coalesced client batches — fold through one stacked
-        kernel per run (:meth:`_bulk_fold`); everything else applies op
-        by op.  Ops in one batch share a channel and are contiguous, so
-        the first stale op means every later one is too — stop and
+        Blocks in one batch share a channel and are contiguous, so the
+        first stale block means every later one is too — stop and
         report once.  A trailing ``expected_seqs`` map (coordinator
-        encode paths) re-bases the channels afterwards.
+        encode paths) re-bases the channels afterwards; that is a
+        full-state event, so it is checkpointed rather than logged.
         """
-        ops = message.payload["ops"]
+        blocks = message.payload["ops"]
         tracer = self.network.tracer if self.network is not None else None
         if tracer is not None:
             tracer.emit(
-                "parity.batch", node=self.node_id, ops=len(ops)
+                "parity.batch", node=self.node_id, ops=len(blocks)
             )
-        encoded = False
-        if self._bulk_encodable(ops):
-            applied = self._bulk_encode(ops)
-            encoded = True
-        else:
-            applied = 0
-            i = 0
-            while i < len(ops):
-                if "block" in ops[i]:
-                    done, stale = self._fold_block(ops[i])
-                    applied += done
-                    i += 1
-                elif (run := self._bulk_foldable(ops, i)) >= 2:
-                    done, stale = self._bulk_fold(ops[i:i + run])
-                    applied += done
-                    i += run
-                else:
-                    op = ops[i]
-                    verdict = self._channel_check(op)
-                    stale = verdict == "stale"
-                    if verdict == "apply":
-                        self._apply(op)
-                        if self._wal is not None:
-                            self._record_applied_ops([op])
-                        applied += 1
-                    i += 1
-                if stale:
-                    self._report_stale()
-                    return {"status": "stale", "applied": applied}
         expected = message.payload.get("expected_seqs")
-        if expected:
+        applied = 0
+        for block in blocks:
+            skip = self._channel_check(block)
+            if skip is None:
+                self._report_stale()
+                return {"status": "stale", "applied": applied}
+            applied += self._fold(block, skip, log=expected is None)
+        if expected is not None:
             self._expected_seq.update(
                 {int(pos): seq for pos, seq in expected.items()}
             )
-        if self._wal is not None and (encoded or expected):
-            # Whole-group encodes and channel re-bases are full-state
-            # events (recovery paths): checkpoint instead of logging.
-            self.checkpoint_now()
+            if self._wal is not None:
+                self._checkpoint_due = True
         return {"status": "applied", "applied": applied}
 
     def handle_parity_reset(self, message: Message) -> None:
@@ -742,9 +438,7 @@ class ParityServer(Node):
     # queries used by recovery
     # ------------------------------------------------------------------
     def _snapshots(self) -> list[dict]:
-        """Snapshot every record; one contiguous bytes pass with a store."""
-        if self._store is None:
-            return [r.snapshot(self.field) for r in self.records.values()]
+        """Snapshot every record in one contiguous bytes pass."""
         payloads = self._store.row_bytes()
         return [
             {
@@ -791,22 +485,15 @@ class ParityServer(Node):
     def _load_records(self, snaps: list[dict]) -> None:
         """Replace the whole record set from snapshots (load / restart)."""
         self.records = {}
-        if self._store is not None:
-            self._store = StripeStore(self.field)
+        self._store = StripeStore(self.field)
         for snap in snaps:
-            record = self._new_record(snap["rank"])
+            record = StoredParityRecord(snap["rank"], self._store)
             record.keys = dict(snap["keys"])
             record.lengths = dict(snap["lengths"])
             self.records[snap["rank"]] = record
-        if self._store is None:
-            for snap in snaps:
-                self.records[snap["rank"]].symbols = (
-                    self.field.symbols_from_bytes(snap["parity"])
-                )
-        else:
-            self._store.bulk_load(
-                [(snap["rank"], snap["parity"]) for snap in snaps]
-            )
+        self._store.bulk_load(
+            [(snap["rank"], snap["parity"]) for snap in snaps]
+        )
         self._key_index = {
             key: (rank, pos)
             for rank, record in self.records.items()
@@ -833,30 +520,18 @@ class ParityServer(Node):
     def handle_signature_dump(self, message: Message) -> dict:
         """Algebraic signatures of every parity record, keyed by rank.
 
-        With the stripe store the whole bucket is one stacked matrix and
-        the signatures come out of one vectorized pass per signature
-        symbol (zero padding contributes nothing to a signature).
+        The whole bucket is one stacked matrix, so the signatures come
+        out of one vectorized pass per signature symbol (zero padding
+        contributes nothing to a signature).
         """
+        from repro.gf.signatures import signature_matrix
+
         count = message.payload.get("count", 2)
-        if self._store is not None:
-            from repro.gf.signatures import signature_matrix
-
-            ranks, matrix = self._store.stacked()
-            vectors = signature_matrix(self.field, matrix, count)
-            return {
-                "index": self.index,
-                "ranks": dict(zip(ranks, vectors)),
-            }
-        from repro.gf.signatures import signature_vector
-
+        ranks, matrix = self._store.stacked()
+        vectors = signature_matrix(self.field, matrix, count)
         return {
             "index": self.index,
-            "ranks": {
-                rank: signature_vector(
-                    self.field, record.parity_bytes(self.field), count
-                )
-                for rank, record in self.records.items()
-            },
+            "ranks": dict(zip(ranks, vectors)),
         }
 
     def handle_status(self, message: Message) -> dict:
@@ -864,10 +539,7 @@ class ParityServer(Node):
             "group": self.group,
             "index": self.index,
             "records": len(self.records),
-            "parity_bytes": int(
-                self._store.nbytes() if self._store is not None
-                else sum(r.symbols.nbytes for r in self.records.values())
-            ),
+            "parity_bytes": self._store.nbytes(),
             "stale": self.stale,
         }
         if self._wal is not None:
@@ -899,13 +571,15 @@ class ParityServer(Node):
         return net.fault_plane.disk_profile(self.node_id, net.now)
 
     def _log_entry(self, entry: dict) -> None:
+        """One WAL frame (an applied Δ-block or a ``ctl`` record); a
+        full interval marks a checkpoint due at the receive boundary."""
         try:
             self._wal.append(entry)
         except DiskError:
             self._fail_stop()
         self._appends_since_ckpt += 1
         if self._appends_since_ckpt >= self._ckpt_interval:
-            self.checkpoint_now()
+            self._checkpoint_due = True
 
     def _fail_stop(self) -> None:
         """Crash the node rather than run past a disk write it lost."""
@@ -913,16 +587,6 @@ class ParityServer(Node):
         if net is not None and net.is_available(self.node_id):
             net.fail(self.node_id)
         raise NodeUnavailable(self.node_id)
-
-    def _record_applied_ops(self, applies: list[dict]) -> None:
-        """Post-apply durability duties: note sequenced Δs in the
-        per-position catch-up ring, then WAL the batch in one frame."""
-        for op in applies:
-            if op.get("seq") is not None:
-                self._delta_log.setdefault(
-                    op["pos"], deque(maxlen=self._delta_log_cap)
-                ).append((op["seq"], op["op"], op["key"], op["rank"]))
-        self._log_entry({"pops": applies})
 
     def checkpoint_now(self) -> None:
         """Write a full-state checkpoint and truncate the WAL."""
@@ -942,6 +606,7 @@ class ParityServer(Node):
         except DiskError:
             self._fail_stop()
         self._appends_since_ckpt = 0
+        self._checkpoint_due = False
         net = self.network
         if net is not None and net.tracer is not None:
             net.tracer.emit(
@@ -981,6 +646,7 @@ class ParityServer(Node):
         self.coord_checkpoint = None
         self._delta_log = {}
         self._appends_since_ckpt = 0
+        self._checkpoint_due = False
         if state is None or state.get("kind") != "parity":
             clean, tail = False, []
             self.epoch = 0
@@ -1049,29 +715,20 @@ class ParityServer(Node):
 
     # -- WAL replay ----------------------------------------------------
     def _replay_frame(self, frame: dict) -> None:
+        """Re-fold one logged block without a channel check (the live
+        path already classified it as applied) but with the same channel
+        advancement, so replayed state matches pre-crash state."""
         if "ctl" in frame:
             if frame["ctl"] == "reset":
                 for pos in frame["positions"]:
                     self._expected_seq.pop(pos, None)
                     self._delta_log.pop(pos, None)
             return
-        for op in (
-            self._expand_block(frame["pblock"]) if "pblock" in frame
-            else frame["pops"]
-        ):
-            self._replay_apply(op)
-
-    def _replay_apply(self, op: dict) -> None:
-        """Re-fold one logged Δ without channel checks (the live path
-        already classified it as an apply) but with the same channel
-        advancement, so replayed state matches pre-crash state."""
-        seq = op.get("seq")
-        if seq is not None:
-            self._expected_seq[op["pos"]] = seq + 1
-            self._delta_log.setdefault(
-                op["pos"], deque(maxlen=self._delta_log_cap)
-            ).append((seq, op["op"], op["key"], op["rank"]))
-        self._apply(op)
+        if frame["seq0"] is not None:
+            self._expected_seq[frame["pos"]] = (
+                frame["seq0"] + len(frame["ranks"])
+            )
+        self._fold(frame, log=False)
 
     # -- serving catch-up ----------------------------------------------
     def handle_delta_tail(self, message: Message) -> dict:
@@ -1085,7 +742,7 @@ class ParityServer(Node):
         pos = message.payload["pos"]
         after = message.payload["after"]
         live = self._expected_seq.get(pos, 1) - 1
-        ops: list[dict] = []
+        ops: list[tuple] = []
         covered = True
         if after < live:
             ring = (self._delta_log or {}).get(pos)
@@ -1099,9 +756,7 @@ class ParityServer(Node):
                     if seq > next_needed:
                         covered = False
                         break
-                    ops.append(
-                        {"seq": seq, "op": action, "key": key, "rank": rank}
-                    )
+                    ops.append((seq, action, key, rank))
                     next_needed += 1
                 covered = covered and next_needed > live
         return {"covered": covered, "live": live, "ops": ops}
@@ -1111,29 +766,19 @@ class ParityServer(Node):
         """Apply the Δs this bucket missed while down, then unfence.
 
         ``ops`` is each group member's WAL tail past our channel
-        expectation (op dicts and columnar blocks, in sequence order).
-        Everything runs through the normal channel check, so overlap
-        with what we already hold dedups per-op; a gap (``stale``
-        verdict) means the coordinator's coverage check was defeated by
-        a concurrent channel advance — report failure so it falls back
-        to a full rebuild.
+        expectation (Δ-blocks, in sequence order).  Everything runs
+        through the normal channel check, so overlap with what we
+        already hold dedups per Δ; a gap (``stale`` verdict) means the
+        coordinator's coverage check was defeated by a concurrent
+        channel advance — report failure so it falls back to a full
+        rebuild.  The checkpoint below makes the result durable.
         """
         applied = 0
-        for entry in message.payload["ops"]:
-            ops = (
-                self._expand_block(entry) if "block" in entry else [entry]
-            )
-            for op in ops:
-                verdict = self._channel_check(op)
-                if verdict == "apply":
-                    self._apply(op)
-                    if op.get("seq") is not None:
-                        self._delta_log.setdefault(
-                            op["pos"], deque(maxlen=self._delta_log_cap)
-                        ).append((op["seq"], op["op"], op["key"], op["rank"]))
-                    applied += 1
-                elif verdict == "stale":
-                    return {"ok": False, "applied": applied}
+        for block in message.payload["ops"]:
+            skip = self._channel_check(block)
+            if skip is None:
+                return {"ok": False, "applied": applied}
+            applied += self._fold(block, skip, log=False)
         self.fenced = False
         self.stale = False
         net = self._net()

@@ -791,22 +791,20 @@ class RecoveryManager:
                 return False  # too stale: every ring evicted the tail
             ops = source["ops"]
 
-        # Per-key winners, in sequence order (a later op supersedes).
-        final: dict[int, dict] = {}
-        for op in ops:
-            final[op["key"]] = op
+        # Per-key winners, in sequence order (a later Δ supersedes).
+        final = {key: (action, rank) for _, action, key, rank in ops}
         deletes = sorted(
-            key for key, op in final.items() if op["op"] == "delete"
+            key for key, (action, _) in final.items() if action == "delete"
         )
         items: list[tuple[int, int, bytes]] = []
         for key in sorted(final):
-            op = final[key]
-            if op["op"] == "delete":
+            action, rank = final[key]
+            if action == "delete":
                 continue
             found, value = self.recover_record(key)
             if not found:  # pragma: no cover - directory is authoritative
                 return False
-            items.append((key, op["rank"], value))
+            items.append((key, rank, value))
 
         min_live = min((t["live"] for t in tails.values()), default=disk_seq)
         net.call(

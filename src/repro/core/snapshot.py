@@ -22,7 +22,7 @@ from typing import Any
 from repro.core.config import LHRSConfig
 from repro.core.file import LHRSFile
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def snapshot_file(file: LHRSFile) -> dict:
@@ -58,8 +58,6 @@ def snapshot_file(file: LHRSFile) -> dict:
                 "group": server.group,
                 "index": server.index,
                 "expected_seqs": dict(server._expected_seq),
-                # _snapshots renders a stripe-store bucket in one
-                # contiguous bytes pass; identical dicts either way.
                 "records": server._snapshots(),
             }
         )
@@ -73,7 +71,6 @@ def snapshot_file(file: LHRSFile) -> dict:
             "generator": config.generator,
             "compact_ranks": config.compact_ranks,
             "parity_batch_size": config.parity_batch_size,
-            "parity_stripe_store": config.parity_stripe_store,
             "durability": config.durability,
             "wal_fsync_interval": config.wal_fsync_interval,
             "durability_checkpoint_interval":

@@ -244,10 +244,10 @@ _ENTRIES: tuple[MessageKind, ...] = (
     # -- parity maintenance --------------------------------------------
     MessageKind(
         "parity.update", "data", "parity", "send/call",
-        ("op", "key", "rank", "pos", "delta", "length", "seq"),
+        ("block", "pos", "seq0", "keys", "ranks", "deltas", "lengths"),
         reply="{status, expected?}",
         section="parity maintenance",
-        summary="one Δ-record; a `call` in `parity_ack` mode",
+        summary="one Δ-block (a scalar op's block of one); a `call` in `parity_ack` mode",
         seq_guard=("_channel_check", "_expected_seq"),
     ),
     MessageKind(
@@ -255,7 +255,7 @@ _ENTRIES: tuple[MessageKind, ...] = (
         ("ops", "expected_seqs?"),
         reply="{status, applied}",
         section="parity maintenance",
-        summary="Δ-op list or columnar Δ-blocks; encode batches re-base",
+        summary="Δ-block list; unsequenced encode batches re-base",
         seq_guard=("_channel_check", "_expected_seq"),
     ),
     MessageKind(

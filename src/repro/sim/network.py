@@ -714,7 +714,8 @@ class Network:
         return result
 
     def _corrupted_copy(self, message: Message) -> Message:
-        """The message with seeded byte-flips in its bytes-valued payload.
+        """The message with seeded byte-flips in its bytes-valued payload
+        fields (top-level bytes, and bytes inside top-level lists).
 
         Models in-flight corruption that slips past link checksums: the
         frame arrives, parses, and carries wrong bytes — exactly what
@@ -731,14 +732,18 @@ class Network:
             buf[pos] ^= 1 << int(rng.integers(8))
             return bytes(buf)
 
+        def corrupt(value):
+            if isinstance(value, bytes):
+                return flip(value)
+            if isinstance(value, list):
+                return [flip(v) if isinstance(v, bytes) else v for v in value]
+            return value
+
         payload = message.payload
         if isinstance(payload, bytes):
             payload = flip(payload)
         elif isinstance(payload, dict):
-            payload = {
-                key: flip(value) if isinstance(value, bytes) else value
-                for key, value in payload.items()
-            }
+            payload = {key: corrupt(value) for key, value in payload.items()}
         return Message(
             message.sender, message.recipient, message.kind, payload,
             message.size,

@@ -318,7 +318,8 @@ class TestArithmeticSizes:
     def test_precomputed_sizes_match_estimator(self, monkeypatch):
         from repro.sim import messages as msgs
 
-        checked = {"count": 0, "kinds": set()}
+        checked = {"count": 0, "kinds": set(), "actions": set(),
+                   "singles": 0, "mixed": 0}
         orig = msgs.Message.__post_init__
 
         def checking(self):
@@ -332,13 +333,22 @@ class TestArithmeticSizes:
                 )
                 checked["count"] += 1
                 checked["kinds"].add(self.kind)
+                if self.kind.startswith("parity."):
+                    blocks = self.payload.get("ops", [self.payload])
+                    actions = {block["block"] for block in blocks}
+                    checked["actions"] |= actions
+                    checked["mixed"] += len(actions) > 1
+                    checked["singles"] += sum(
+                        len(block["keys"]) == 1 for block in blocks
+                    )
             orig(self)
 
         monkeypatch.setattr(msgs.Message, "__post_init__", checking)
 
-        # Small capacity: splits land mid-batch, so structural parity
-        # batches (per-op dicts) and compaction ride alongside the
-        # columnar insert/update blocks and per-op delete Δs.
+        # Small capacity: splits land mid-batch, so structural delete
+        # and insert blocks ride alongside the vectorized insert/update
+        # blocks and the batch's per-op delete blocks (mixed batches);
+        # the scalar ops at the end send blocks of one as parity.update.
         file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
         items = [(k, bytes([k % 251]) * (k % 17)) for k in range(120)]
         assert file.insert_many(items).ok
@@ -347,7 +357,13 @@ class TestArithmeticSizes:
         ).ok
         assert file.delete_many([k for k, _ in items[::3]]).ok
         assert file.search_many([k for k, _ in items[:40]]).ok
+        file.insert(500, b"scalar")
+        file.update(500, b"scalar, longer")
+        file.delete(500)
 
         assert checked["count"] > 0
         assert "ops.batch" in checked["kinds"]
         assert "parity.batch" in checked["kinds"]
+        assert "parity.update" in checked["kinds"]
+        assert checked["actions"] == {"insert", "update", "delete"}
+        assert checked["singles"] > 0 and checked["mixed"] > 0

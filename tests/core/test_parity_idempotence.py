@@ -22,15 +22,15 @@ def make_file(**overrides) -> LHRSFile:
 
 
 def last_op_of(server, key: int, value: bytes) -> dict:
-    """Reconstruct the exact Δ message the server just sent for ``key``."""
+    """Reconstruct the exact Δ-block the server just sent for ``key``."""
     return {
-        "op": "insert",
-        "key": key,
-        "rank": server.ranks[key],
+        "block": "insert",
         "pos": server.position,
-        "delta": value,
-        "length": len(value),
-        "seq": server._parity_seq,
+        "seq0": server._parity_seq,
+        "keys": [key],
+        "ranks": [server.ranks[key]],
+        "deltas": [value],
+        "lengths": [len(value)],
     }
 
 
@@ -63,7 +63,7 @@ class TestDuplicateDelta:
         # A Δ from the future proves earlier traffic was lost: the
         # parity bucket must not apply it, and must get itself rebuilt.
         op = last_op_of(server, 6, b"payload")
-        op["seq"] = server._parity_seq + 5
+        op["seq0"] = server._parity_seq + 5
         file.network.send(server.node_id, pnode, "parity.update", op)
         assert file.rs_coordinator.recovery.groups_recovered == 1
         assert file.verify_parity_consistency() == []

@@ -362,3 +362,98 @@ class TestRestartSoak:
         # restarts really happened (windows closed through the
         # handshake, not through report-driven rebuilds alone)
         assert tracer.counts.get("bucket.restart", 0) >= 1
+
+
+class TestDurableGrowth:
+    """Durable files keep working as they grow through many splits.
+
+    Regression: a checkpoint falling due inside a split — the movers'
+    ranks already released, the movers still in the bucket — raised
+    ``KeyError`` in ``RSDataServer.checkpoint_now`` (after ~1,000
+    sequential inserts at the default interval, ~128 at intervals 4
+    and 16).  Checkpoints now wait for the outermost handler boundary.
+    """
+
+    @staticmethod
+    def grown_file(interval, **kw):
+        if interval is not None:
+            kw["durability_checkpoint_interval"] = interval
+        return LHRSFile(LHRSConfig(
+            group_size=4, availability=2, bucket_capacity=32,
+            durability=True, **kw,
+        ))
+
+    @pytest.mark.parametrize("interval", [None, 4, 16],
+                             ids=["default", "every4", "every16"])
+    def test_growth_restarts_and_more_growth(self, interval):
+        file = self.grown_file(interval)
+        values = {key: bytes([key % 251]) * 50 for key in range(4000)}
+        for key in range(3000):
+            file.insert(key, values[key])
+        assert file.bucket_count > 64  # many splits, many checkpoints
+        assert file.verify_parity_consistency() == []
+
+        for bucket in (1, 21, 42):
+            node_id = f"f.d{bucket}"
+            server = file.network.nodes[node_id]
+            before = dict(server.bucket.records), dict(server.ranks)
+            file.failures.crash([node_id])
+            file.failures.heal([node_id])
+            # restarted from its own disk (a rebuild would install a
+            # spare under the same id), caught up and unfenced
+            assert file.network.nodes[node_id] is server
+            assert not server.fenced
+            assert (dict(server.bucket.records), dict(server.ranks)) == before
+
+        for key in range(3000, 4000):
+            file.insert(key, values[key])
+        assert file.verify_parity_consistency() == []
+        for key in range(0, 4000, 7):
+            outcome = file.search(key)
+            assert outcome.found and outcome.value == values[key], key
+
+    def test_batched_growth_with_rank_compaction(self):
+        file = self.grown_file(16, batch_ops=True, compact_ranks=True)
+        items = [(key, b"b%d" % key) for key in range(2000)]
+        for start in range(0, len(items), 64):
+            assert file.insert_many(items[start:start + 64]).ok
+        assert file.delete_many(list(range(0, 2000, 3))).ok
+        assert file.insert_many([(key, b"c%d" % key)
+                                 for key in range(2000, 2400)]).ok
+        assert file.verify_parity_consistency() == []
+        for server in file.data_servers():
+            ranks = sorted(server.ranks.values())
+            assert ranks == list(range(1, len(ranks) + 1))
+        file.failures.crash(["f.d3"])
+        file.failures.heal(["f.d3"])
+        assert not file.network.nodes["f.d3"].fenced
+        assert file.verify_parity_consistency() == []
+        for key in range(1, 2400, 11):
+            outcome = file.search(key)
+            assert outcome.found == (key >= 2000 or key % 3 != 0), key
+
+    def test_interval_checkpoints_wait_for_the_handler_boundary(
+        self, monkeypatch
+    ):
+        """A due checkpoint is written only once the bucket's outermost
+        handler returned — never mid-split, mid-batch or mid-fold."""
+        from repro.core.data_bucket import RSDataServer
+        from repro.core.parity_bucket import ParityServer
+
+        depths = {RSDataServer: [], ParityServer: []}
+        for cls in depths:
+            def spy(self, real=cls.checkpoint_now, seen=depths[cls]):
+                if self._checkpoint_due:
+                    seen.append(self._depth)
+                real(self)
+
+            monkeypatch.setattr(cls, "checkpoint_now", spy)
+        file = self.grown_file(4, batch_ops=True, compact_ranks=True)
+        for key in range(300):
+            file.insert(key, b"s%d" % key)
+        assert file.insert_many([(key, b"m%d" % key)
+                                 for key in range(300, 600)]).ok
+        assert file.delete_many(list(range(0, 600, 4))).ok
+        assert file.verify_parity_consistency() == []
+        for seen in depths.values():
+            assert len(seen) > 20 and set(seen) == {0}

@@ -109,17 +109,15 @@ class TestDurableRoundtrip:
         seed=st.integers(0, 10_000),
         count=st.integers(20, 160),
         durability=st.booleans(),
-        stripe=st.booleans(),
         capacity=st.sampled_from([4, 8, 16]),
     )
-    def test_roundtrip_property(self, seed, count, durability, stripe,
-                                capacity):
+    def test_roundtrip_property(self, seed, count, durability, capacity):
         """Any (workload, config) point round-trips: census, ranks,
         levels and parity all byte-identical — StripeStore and the
         durable plane included."""
         original, keys = build(
             count=count, seed=seed, bucket_capacity=capacity,
-            durability=durability, parity_stripe_store=stripe,
+            durability=durability,
         )
         rng = make_rng(seed + 1)
         for key in rng.choice(keys, size=min(10, count), replace=False):

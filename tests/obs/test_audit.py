@@ -130,8 +130,8 @@ class TestSeededViolationOnLiveFile:
         with pytest.raises(InvariantViolation) as err:
             file.network.send(
                 "f.d0", target, "parity.update",
-                {"op": "insert", "key": 999, "rank": 0, "pos": 0,
-                 "delta": b"\x01\x02", "length": 2, "seq": 999},
+                {"block": "insert", "pos": 0, "seq0": 999, "keys": [999],
+                 "ranks": [0], "deltas": [b"\x01\x02"], "lengths": [2]},
             )
         text = str(err.value)
         assert err.value.rule == "gap-implies-fault"
@@ -177,7 +177,7 @@ class TestSeededViolationOnLiveFile:
             file.insert(key, b"x")
         file.flush_all_parity()
         server = file.network.nodes["f.d0"]
-        server._parity_queue.append({"op": "insert", "key": 1})
+        server._parity_queue.append({"block": "insert", "keys": [1]})
         try:
             problems = auditor.check_file(file)
             assert any("not quiesced" in p for p in problems)
