@@ -616,11 +616,7 @@ class RSCoordinator(Coordinator):
             row=self.parity_row(index),
             field=self.field,
         )
-        server.inbound_queue_limit = self.config.bucket_queue_limit
-        if self.config.durability:
-            server.epoch = self._bucket_epochs.get(server.node_id, 0)
-            server.enable_durability(self.config)
-        return server
+        return self._commission(server)
 
     def make_server(self, number: int, level: int) -> RSDataServer:
         group = group_of(number, self.config.group_size)
@@ -640,9 +636,14 @@ class RSCoordinator(Coordinator):
             compact_ranks=self.config.compact_ranks,
             parity_batch_size=self.config.parity_batch_size,
             field_width=self.config.field_width,
-            retry_policy=self.config.retry_policy,
             parity_ack=self.config.parity_ack,
         )
+        return self._commission(server)
+
+    def _commission(self, server):
+        """Apply the file-wide server settings, then (durability on)
+        stamp the address's epoch and attach the disk."""
+        server.retry_policy = self.config.retry_policy
         server.inbound_queue_limit = self.config.bucket_queue_limit
         if self.config.durability:
             server.epoch = self._bucket_epochs.get(server.node_id, 0)

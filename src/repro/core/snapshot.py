@@ -34,33 +34,14 @@ def snapshot_file(file: LHRSFile) -> dict:
     file.flush_all_parity()
     config = file.config
     coordinator = file.rs_coordinator
-    data = []
-    for server in file.data_servers():
-        data.append(
-            {
-                "number": server.number,
-                "level": server.level,
-                "counter": server._rank_counter,
-                "free_ranks": sorted(server._free_ranks),
-                # Δ-channel high-water: a restored durable bucket must
-                # resume its per-channel numbering, not restart it.
-                "parity_seq": server._parity_seq,
-                "records": [
-                    (key, server.ranks[key], payload)
-                    for key, payload in server.bucket.records.items()
-                ],
-            }
-        )
-    parity = []
-    for server in file.parity_servers():
-        parity.append(
-            {
-                "group": server.group,
-                "index": server.index,
-                "expected_seqs": dict(server._expected_seq),
-                "records": server._snapshots(),
-            }
-        )
+    data = [
+        {"number": server.number, **server.image()}
+        for server in file.data_servers()
+    ]
+    parity = [
+        {"group": server.group, "index": server.index, **server.image()}
+        for server in file.parity_servers()
+    ]
     return {
         "version": SNAPSHOT_VERSION,
         "config": {
@@ -130,30 +111,21 @@ def restore_file(snapshot: dict, file_id: str = "f",
     # end in a checkpoint, so the restored servers' disks hold a
     # restart-consistent image from the first instant.
     for bucket in snapshot["data_buckets"]:
+        image = {key: value for key, value in bucket.items() if key != "number"}
         net.send(
             coordinator.node_id,
             f"{file_id}.d{bucket['number']}",
             "bucket.load",
-            {
-                "records": bucket["records"],
-                "counter": bucket["counter"],
-                "free_ranks": bucket["free_ranks"],
-                "level": bucket["level"],
-                "parity_seq": bucket.get("parity_seq", 0),
-            },
+            image,
         )
     for parity in snapshot["parity_buckets"]:
+        image = {"records": parity["records"],
+                 "expected_seqs": parity["expected_seqs"]}
         net.send(
             coordinator.node_id,
             f"{file_id}.p{parity['group']}.{parity['index']}",
             "parity.load",
-            {
-                "records": parity["records"],
-                "expected_seqs": {
-                    int(pos): seq
-                    for pos, seq in parity.get("expected_seqs", {}).items()
-                },
-            },
+            image,
         )
     return file
 
