@@ -136,27 +136,32 @@ class TestParityRestartCatchUp:
         assert_all_readable(file)
 
 
+@pytest.mark.parametrize("node", ["f.d1", "f.p0.1"])
 class TestFallbackToFullRebuild:
-    def test_garbage_wal_tail_falls_back(self):
+    """Both bucket kinds restart through the same durable plane, so each
+    fallback is driven on a data and on a parity bucket."""
+
+    def test_garbage_wal_tail_falls_back(self, node):
         """A WAL whose replay stops unclean (torn frame) cannot prove
         its durable prefix — the rejoin must take the full rebuild."""
         file, tracer = build()
-        server = file.network.nodes["f.d1"]
+        server = file.network.nodes[node]
         server._disk.append(server._wal.LOG, b"\x99\x07torn-frame-junk")
         server._disk.fsync(server._wal.LOG)
-        file.failures.crash(["f.d1"])
-        file.failures.heal(["f.d1"])
+        file.failures.crash([node])
+        file.failures.heal([node])
         assert tracer.counts.get("catchup.fallback") == 1
         assert_all_readable(file)
         assert file.verify_parity_consistency() == []
 
-    def test_bitrot_falls_back(self):
-        file, tracer = build(k=1, count=30)
+    def test_bitrot_falls_back(self, node):
+        # f.p0.1 exists only from k = 2 on
+        file, tracer = build(k=1 if node == "f.d1" else 2, count=30)
         plane = FaultPlane(rng=np.random.default_rng(7))
-        plane.add_disk_rule(node="f.d1", bitrot=1.0, bitrot_flips=4)
+        plane.add_disk_rule(node=node, bitrot=1.0, bitrot_flips=4)
         file.network.install_fault_plane(plane)
-        file.failures.crash(["f.d1"])
-        file.failures.heal(["f.d1"])
+        file.failures.crash([node])
+        file.failures.heal([node])
         assert tracer.counts.get("catchup.fallback") == 1
         assert tracer.counts.get("bucket.restart") == 1
         for key in range(30):
@@ -164,18 +169,107 @@ class TestFallbackToFullRebuild:
             assert outcome.found and outcome.value == b"v%d" % key
         assert file.verify_parity_consistency() == []
 
-    def test_epoch_mismatch_forces_rebuild(self):
+    def test_epoch_mismatch_forces_rebuild(self, node):
         """The incarnation fence: when the coordinator's epoch moved past
         what the restarted bucket persisted, its disk state is from a
         dead incarnation and must not be trusted — full rebuild."""
         file, tracer = build()
-        file.rs_coordinator._bucket_epochs["f.d1"] = 7
-        file.failures.crash(["f.d1"])
-        file.failures.heal(["f.d1"])
+        catchup = "catchup.data" if node == "f.d1" else "catchup.parity"
+        file.rs_coordinator._bucket_epochs[node] = 7
+        file.failures.crash([node])
+        file.failures.heal([node])
         assert tracer.counts.get("catchup.fallback") == 1
-        assert tracer.counts.get("catchup.data") is None
+        assert tracer.counts.get(catchup) is None
         assert_all_readable(file)
         assert file.verify_parity_consistency() == []
+
+
+@pytest.mark.parametrize("node", ["f.d1", "f.p0.1"])
+@pytest.mark.parametrize("write", ["checkpoint", "log"])
+def test_disk_error_is_fail_stop(node, write):
+    """A bucket that cannot write its disk crashes instead of running
+    past the lost write; once the disk works again, the ordinary
+    rebuild restores it."""
+    from repro.sim.network import NodeUnavailable
+
+    file, _ = build(observe=False)
+    server = file.network.nodes[node]
+    plane = FaultPlane(rng=np.random.default_rng(5))
+    plane.add_disk_rule(node=node, io_error=1.0)
+    file.network.install_fault_plane(plane)
+    with pytest.raises(NodeUnavailable):
+        if write == "checkpoint":
+            server.checkpoint_now()
+        else:
+            server._log_entry({"ctl": "noop"})
+    assert node in file.network.failed
+    plane.clear_rules()
+    file.recover([node])
+    assert file.network.nodes[node] is not server
+    assert_all_readable(file)
+    assert file.verify_parity_consistency() == []
+
+
+class TestReplayAdvancesDeltaSequence:
+    """WAL replay restores the Δ sequence along with the records, so a
+    restarted bucket reports its whole durable prefix."""
+
+    def test_unshipped_lazy_deltas_survive_restart(self):
+        """Lazy parity: Δs logged but still queued at the crash must be
+        re-shipped after the restart, not dropped with the sequence
+        rewound (which left the parity silently wrong)."""
+        config = LHRSConfig(
+            group_size=4, availability=1, bucket_capacity=64,
+            durability=True, parity_batch_size=4,
+        )
+        file = LHRSFile(config)
+        tracer, _, _ = file.enable_observability()
+        for key in range(6):
+            file.insert(key, b"v%d" % key)
+        server = file.network.nodes["f.d1"]
+        assert server._parity_queue  # logged, not shipped yet
+        seq = server._parity_seq
+        file.failures.crash(["f.d1"])
+        file.failures.heal(["f.d1"])
+        (restart,) = [e for e in tracer.events if e.type == "bucket.restart"]
+        assert restart.attrs["seq"] == seq
+        file.flush_all_parity()
+        assert file.verify_parity_consistency() == []
+        for key in range(6):
+            outcome = file.search(key)
+            assert outcome.found and outcome.value == b"v%d" % key
+
+    def test_clean_restart_rederives_no_record(self):
+        """Eager parity, every append synced: replay already restored
+        every key, so catch-up needs no record recovery at all."""
+        file, tracer = build()
+        file.failures.crash(["f.d1"])
+        file.failures.heal(["f.d1"])
+        delivered = [
+            e.attrs["kind"] for e in tracer.events if e.type == "msg.deliver"
+        ]
+        assert tracer.counts.get("catchup.data") == 1
+        assert "parity.locate" not in delivered
+        assert "record.fetch" not in delivered
+        assert file.verify_parity_consistency() == []
+
+
+@pytest.mark.parametrize("node", ["f.d1", "f.p0.0"])
+@pytest.mark.parametrize("attempts", [1, 2, 6])
+def test_rejoin_follows_the_retry_policy(node, attempts):
+    """With the coordinator down, a restarted bucket of either kind
+    tries the rejoin exactly ``retry_attempts`` times, then stays down
+    for the probe sweep."""
+    file, tracer = build(retry_attempts=attempts)
+    file.failures.crash([node])
+    file.fail_coordinator()
+    file.failures.heal([node])
+    sends = [
+        e for e in tracer.events
+        if e.type == "msg.send" and e.attrs["kind"] == "rejoin"
+    ]
+    assert len(sends) == attempts
+    assert node in file.network.failed
 
 
 class TestFencing:
