@@ -54,13 +54,12 @@ def _best_of(fn, repeats: int) -> tuple[float, dict]:
     return best, stats
 
 
-def _config(batch: bool, m: int, k: int, capacity: int,
+def _config(m: int, k: int, capacity: int,
             max_ops: int = 1024) -> LHRSConfig:
     return LHRSConfig(
         group_size=m,
         availability=k,
         bucket_capacity=capacity,
-        batch_ops=batch,
         batch_max_ops=max_ops,
     )
 
@@ -72,9 +71,10 @@ def _items(count: int, size: int = 64, seed: int = 7) -> list:
             for k in keys]
 
 
-def _preload(file: LHRSFile, items) -> None:
-    """Seed records without touching the measured arm's counters."""
-    if file.config.batch_ops:
+def _preload(file: LHRSFile, items, batched: bool) -> None:
+    """Seed records (through the measured arm's own plane) without
+    touching its counters."""
+    if batched:
         file.insert_many(items)
     else:
         for key, value in items:
@@ -90,9 +90,9 @@ def bench_ops(kind, m, k, batch, count, capacity, repeats) -> dict:
 
     def run(batched: bool):
         def arm():
-            file = LHRSFile(_config(batched, m, k, capacity, max_ops=batch))
+            file = LHRSFile(_config(m, k, capacity, max_ops=batch))
             if kind != "insert":
-                _preload(file, items)
+                _preload(file, items, batched)
             if kind == "insert":
                 work, many = items, file.insert_many
             elif kind == "update":
@@ -141,8 +141,7 @@ def bench_growth(m, k, batch, count, repeats) -> dict:
 
     def run(batched: bool):
         def arm():
-            file = LHRSFile(_config(batched, m, k, capacity=16,
-                                    max_ops=batch))
+            file = LHRSFile(_config(m, k, capacity=16, max_ops=batch))
             if batched:
                 assert file.insert_many(items).ok
             else:

@@ -234,25 +234,9 @@ class LHGDataServer(DataServer):
     # group keys untouched — the scheme's zero-parity-traffic hallmark.
 
     # ------------------------------------------------------------------
-    def handle_search(self, message: Message) -> None:
-        payload = message.payload
-        if self._verify(payload["key"]) is not None:
-            self._forward(message)
-            return
-        key = payload["key"]
+    def stored_value(self, key: int) -> Any:
         stored = self.bucket.records.get(key)
-        self.send(
-            payload["client"],
-            "search.result",
-            {
-                "request": payload["request"],
-                "key": key,
-                "found": stored is not None,
-                "value": stored[1] if stored is not None else None,
-            },
-        )
-        if payload.get("hops", 0):
-            self._send_iam(payload["client"])
+        return stored[1] if stored is not None else None
 
     def scan_matches(self, payload: dict) -> list[tuple[int, Any]]:
         predicate = payload.get("predicate")

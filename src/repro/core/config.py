@@ -167,27 +167,12 @@ class LHRSConfig:
     health_log_capacity:
         Ring-buffer bound on the coordinator's per-probe-round health
         log; the oldest entries are dropped (and counted) beyond it.
-    batch_ops:
-        Enable the bulk scatter-gather data plane: the ``*_many``
-        client calls bin operations by the client image into one
-        ``ops.batch`` message per target bucket, servers apply each
-        sub-batch vectorized (ranks taken in one pass, payloads stacked
-        into 2D kernels) and coalesce Δ-parity into a single
-        ``parity.batch`` per (bucket, parity-target) pair per client
-        batch.  Off by default: with the knob off the ``*_many`` calls
-        degrade to the scalar per-op loop and every message trace is
-        byte-identical to the unbatched code.
     batch_max_ops:
-        Ceiling on ops per scattered sub-batch message; a larger client
-        batch is chunked.  Bounds server-side admission cost per
-        message and the shed/retry unit.
-    batch_bulk_weight:
-        Extra service-time units a :class:`~repro.sim.network.ServiceModel`
-        charges per op beyond the first in a batch message (``ops.batch``
-        and ``parity.batch``), via ``charge_bulk``.  0.0 (default) keeps
-        batch messages costing one service time like any other message —
-        the pre-batch costing — while a positive weight models per-op
-        server work so E20 can report honest batched latency.
+        Ceiling on ops per scattered sub-batch message of the bulk
+        data plane; a larger client batch is chunked.  Bounds
+        server-side admission cost per message and the shed/retry
+        unit.  (A ``*_many`` call of two or more ops always scatters
+        as ``ops.batch``; a one-op call is the scalar op.)
     durability:
         Give every data and parity bucket a local
         :class:`~repro.store.SimDisk` with a checksummed write-ahead
@@ -249,9 +234,7 @@ class LHRSConfig:
     recovery_pace_burst: float = 8.0
     retry_jitter: bool = False
     health_log_capacity: int = 512
-    batch_ops: bool = False
     batch_max_ops: int = 256
-    batch_bulk_weight: float = 0.0
     durability: bool = False
     wal_fsync_interval: int = 1
     durability_checkpoint_interval: int = 128
@@ -293,8 +276,6 @@ class LHRSConfig:
             raise ValueError("health_log_capacity must be >= 1")
         if self.batch_max_ops < 1:
             raise ValueError("batch_max_ops must be >= 1")
-        if self.batch_bulk_weight < 0:
-            raise ValueError("batch_bulk_weight cannot be negative")
         if self.wal_fsync_interval < 1:
             raise ValueError("wal_fsync_interval must be >= 1")
         if self.durability_checkpoint_interval < 1:

@@ -125,23 +125,15 @@ class RSDataServer(DataServer, DurableBucket):
     # ------------------------------------------------------------------
     # rank management
     # ------------------------------------------------------------------
-    def _take_rank(self) -> int:
-        """Smallest free rank, else a fresh one.
+    def _take_ranks(self, count: int) -> list[int]:
+        """The ``count`` smallest free ranks, then fresh ones.
 
-        Taking the *lowest* free rank keeps each bucket's occupied rank
+        Taking the *lowest* free ranks keeps each bucket's occupied rank
         set dense ({1..size} under pure growth), which maximizes record
         group occupancy across the bucket group — the storage-overhead
         figure of experiment E1 rides on this (§4.3's counter-reuse
         enhancement, applied locally at allocation time).
         """
-        if self._free_ranks:
-            return heapq.heappop(self._free_ranks)
-        self._rank_counter += 1
-        return self._rank_counter
-
-    def _take_ranks(self, count: int) -> list[int]:
-        """``count`` ranks in one pass — the same ranks ``count``
-        successive :meth:`_take_rank` calls would hand out."""
         out: list[int] = []
         while self._free_ranks and len(out) < count:
             out.append(heapq.heappop(self._free_ranks))
@@ -420,33 +412,81 @@ class RSDataServer(DataServer, DurableBucket):
         return ("report.stale", {"node": target})
 
     # ------------------------------------------------------------------
-    # record mutation primitives (called by the accepted-op handlers)
+    # record mutations: one Δ-producing run per kind
     # ------------------------------------------------------------------
+    def _insert_run(self, keys: list[int], values: list[bytes]) -> dict:
+        """Store absent records under fresh ranks (taken together, one
+        store write each); returns their insert Δ-block."""
+        ranks = self._take_ranks(len(keys))
+        put = self.bucket.put
+        assign = self._assign_rank
+        for key, value, rank in zip(keys, values, ranks):
+            assign(key, rank)
+            put(key, value)
+        return self._parity_block(
+            "insert", keys, ranks, values, list(map(len, values))
+        )
+
+    def _update_run(self, keys: list[int], values: list[bytes]) -> dict:
+        """Overwrite present records; returns their update Δ-block.
+
+        A run of one takes the int-XOR :func:`delta_payload`.  A longer
+        run stacks old and new payloads into two (run × symbols)
+        matrices, XORs them in one pass and converts back to bytes in
+        one call; each op's Δ is its row trimmed to max(len(old),
+        len(new)) — byte-identical to ``delta_payload``, which
+        zero-extends the shorter operand to exactly that length.
+        """
+        olds = list(map(self.bucket.get, keys))
+        if len(keys) == 1:
+            deltas = [delta_payload(olds[0], values[0])]
+        else:
+            deltas = self._stacked_deltas(olds, values)
+        put = self.bucket.put
+        for key, value in zip(keys, values):
+            put(key, value)
+        return self._parity_block(
+            "update", keys, list(map(self.ranks.__getitem__, keys)), deltas,
+            list(map(len, values)),
+        )
+
+    def _stacked_deltas(
+        self, olds: list[bytes], news: list[bytes]
+    ) -> list[bytes]:
+        """The stacked-XOR kernel behind :meth:`_update_run`."""
+        lengths = [max(len(o), len(n)) for o, n in zip(olds, news)]
+        longest = max(lengths)
+        if not longest:
+            return [b""] * len(olds)
+        sym_len = self.field.symbol_length_for_bytes(longest)
+        delta = np.bitwise_xor(
+            self.field.stack_payloads(olds, sym_len),
+            self.field.stack_payloads(news, sym_len),
+        )
+        blob = self.field.bytes_from_symbols(delta.reshape(-1))
+        row_bytes = len(blob) // len(olds)
+        return [
+            blob[idx * row_bytes:idx * row_bytes + length]
+            for idx, length in enumerate(lengths)
+        ]
+
     def apply_insert(self, key: int, value: bytes) -> None:
         if key in self.bucket:
             self.apply_update(key, value)
             return
-        rank = self._take_rank()
-        self._assign_rank(key, rank)
-        self.bucket.put(key, value)
-        self._send_parity(
-            self._parity_block("insert", [key], [rank], [value], [len(value)])
-        )
+        self._send_parity(self._insert_run([key], [value]))
 
     def apply_update(self, key: int, value: bytes) -> None:
         if key not in self.bucket:
             self.apply_insert(key, value)
             return
-        old = self.bucket.get(key)
-        self.bucket.put(key, value)
-        self._send_parity(
-            self._parity_block(
-                "update", [key], [self.ranks[key]],
-                [delta_payload(old, value)], [len(value)],
-            )
-        )
+        self._send_parity(self._update_run([key], [value]))
 
     def apply_delete(self, key: int) -> None:
+        """Remove a record and free its rank; the one producer of a
+        delete Δ outside structural changes.  Batched deletes run op by
+        op: with ``compact_ranks`` each one's compaction decides the
+        ranks the next one frees."""
         if key not in self.bucket:
             return
         payload = self.bucket.delete(key)
@@ -482,20 +522,28 @@ class RSDataServer(DataServer, DurableBucket):
 
     def _apply_batch_ops(self, ops: list[dict]) -> list[dict]:
         """Vectorize maximal eligible runs of same-kind mutations;
-        everything else takes the scalar per-op path unchanged."""
+        everything else takes the one key-op apply, op by op."""
         results: list[dict] = []
         i = 0
         while i < len(ops):
             run = self._bulk_run(ops, i)
             if run > 1:
                 chunk = ops[i:i + run]
+                keys = [op["key"] for op in chunk]
+                values = [op["value"] for op in chunk]
                 if chunk[0]["op"] == "insert":
-                    results.extend(self._apply_bulk_insert(chunk))
+                    block = self._insert_run(keys, values)
                 else:
-                    results.extend(self._apply_bulk_update(chunk))
+                    block = self._update_run(keys, values)
+                self._send_parity(block)
+                # Inserts fit under capacity and updates owe no report
+                # (run preconditions): this is only the scalar
+                # sequence's not-overflowing marker bookkeeping.
+                self._report_overflow_if_needed()
+                results.extend(["applied"] * run)
                 i += run
             else:
-                results.append(self._apply_batch_op(ops[i]))
+                results.append(self.apply_key_op(ops[i]["op"], ops[i]))
                 i += 1
         return results
 
@@ -538,70 +586,6 @@ class RSDataServer(DataServer, DurableBucket):
             return 1  # an overflow report is due; per-op path sends it
         return count if count >= 2 else 1
 
-    def _apply_bulk_insert(self, ops: list[dict]) -> list[dict]:
-        """Insert a run in one pass: ranks taken together, one store
-        write per record, Δs queued in stream order."""
-        ranks = self._take_ranks(len(ops))
-        keys: list[int] = []
-        values: list[bytes] = []
-        lengths: list[int] = []
-        put = self.bucket.put
-        assign = self._assign_rank
-        for op, rank in zip(ops, ranks):
-            key, value = op["key"], op["value"]
-            assign(key, rank)
-            put(key, value)
-            keys.append(key)
-            values.append(value)
-            lengths.append(len(value))
-        self._send_parity(
-            self._parity_block("insert", keys, ranks, values, lengths)
-        )
-        # The run fits under capacity, so this is the scalar sequence's
-        # final not-overflowing marker reset, not a report.
-        self._report_overflow_if_needed()
-        return ["applied"] * len(ops)
-
-    def _apply_bulk_update(self, ops: list[dict]) -> list[dict]:
-        """Update a run with one stacked-XOR delta kernel.
-
-        Old and new payloads are stacked into two (run × symbols)
-        matrices, XORed in one pass, and converted back to bytes in one
-        call; each op's Δ is its row trimmed to max(len(old), len(new))
-        — byte-identical to scalar ``delta_payload``, which zero-extends
-        the shorter operand to exactly that length.
-        """
-        keys = [op["key"] for op in ops]
-        news = [op["value"] for op in ops]
-        olds = [self.bucket.get(k) for k in keys]
-        lengths = [max(len(o), len(n)) for o, n in zip(olds, news)]
-        longest = max(lengths)
-        if longest:
-            sym_len = self.field.symbol_length_for_bytes(longest)
-            stacked_old = self.field.stack_payloads(olds, sym_len)
-            stacked_new = self.field.stack_payloads(news, sym_len)
-            delta = np.bitwise_xor(stacked_old, stacked_new)
-            blob = self.field.bytes_from_symbols(delta.reshape(-1))
-            row_bytes = len(blob) // len(ops)
-        else:
-            blob, row_bytes = b"", 0
-        put = self.bucket.put
-        ranks = [self.ranks[key] for key in keys]
-        deltas: list[bytes] = []
-        new_lengths: list[int] = []
-        for idx, (key, new) in enumerate(zip(keys, news)):
-            put(key, new)
-            start = idx * row_bytes
-            deltas.append(blob[start:start + lengths[idx]])
-            new_lengths.append(len(new))
-        self._send_parity(
-            self._parity_block("update", keys, ranks, deltas, new_lengths)
-        )
-        # No size change and no report pending (run precondition), so
-        # this only performs the scalar sequence's marker bookkeeping.
-        self._report_overflow_if_needed()
-        return ["applied"] * len(ops)
-
     # ------------------------------------------------------------------
     # splits: group membership follows the record
     # ------------------------------------------------------------------
@@ -640,11 +624,9 @@ class RSDataServer(DataServer, DurableBucket):
 
     def handle_records_bulk(self, message: Message) -> None:
         records = message.payload["records"]
-        ranks = self._take_ranks(len(records))
-        for (key, payload), rank in zip(records, ranks):
-            self._assign_rank(key, rank)
-            self.bucket.put(key, payload)
-        self._send_parity_batch(self._records_block("insert", records, ranks))
+        self._send_parity_batch([self._insert_run(
+            [key for key, _ in records], [value for _, value in records]
+        )] if records else [])
         self._report_overflow_if_needed()
 
     def handle_merge(self, message: Message) -> Any:
@@ -673,16 +655,6 @@ class RSDataServer(DataServer, DurableBucket):
             {"records": records, "source": self.number},
         )
         return {"moved": len(records)}
-
-    def receive_moved_record(self, key: int, value: bytes) -> None:
-        # Single-record arrival outside a bulk (not used by RS splits,
-        # but kept consistent for subclasses / tests).
-        rank = self._take_rank()
-        self._assign_rank(key, rank)
-        self.bucket.put(key, value)
-        self._send_parity(
-            self._parity_block("insert", [key], [rank], [value], [len(value)])
-        )
 
     # ------------------------------------------------------------------
     # configuration & recovery support

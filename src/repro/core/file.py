@@ -107,7 +107,6 @@ class LHRSFile(LHStarFile):
         from repro.sim.network import ServiceModel
 
         if model is None:
-            kwargs.setdefault("bulk_op_weight", self.config.batch_bulk_weight)
             model = ServiceModel(**kwargs)
         self.network.install_service_model(model)
         return model
@@ -118,7 +117,6 @@ class LHRSFile(LHStarFile):
             "ack_writes": self.config.client_acks,
             "coord_replicas": self.config.coordinator_replicas,
             "deadline": self.config.deadline_policy,
-            "batch_ops": self.config.batch_ops,
             "batch_max_ops": self.config.batch_max_ops,
         }
 

@@ -924,6 +924,21 @@ class RecoveryManager:
             )
         codec = self._codec(group)
         coord_id = coordinator.node_id
+        if cfg.parity_batch_size > 1:
+            # Lazy parity: a survivor's queued Δs are in its payloads
+            # but not yet in the parity record read below — flush them
+            # first, or the decode mixes two states of the record group.
+            members = group_buckets(group, m, coordinator.state.bucket_count)
+            for member in members:
+                if member == bucket:
+                    continue
+                try:
+                    self._net.call(
+                        coord_id, data_node(self._file_id, member),
+                        "parity.flush",
+                    )
+                except NodeUnavailable:
+                    pass  # lost too: record.fetch below finds it out
 
         alive_parity = [
             i for i in range(k)

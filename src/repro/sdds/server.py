@@ -100,17 +100,6 @@ class DataServer(Node):
     #: report underflow when occupancy falls below this fraction
     UNDERFLOW_FRACTION = 0.25
 
-    def _after_accept(self, payload: dict) -> None:
-        """Common post-accept duties: IAM on forwarded ops, load reports,
-        and (when the client tagged the op) an acknowledgement so the
-        client's retry loop knows the mutation landed."""
-        if payload.get("hops", 0) and payload.get("client"):
-            self._send_iam(payload["client"])
-        if payload.get("ack") and payload.get("client"):
-            self.send(payload["client"], "op.ack",
-                      {"token": payload["ack"], "bucket": self.number})
-        self._report_overflow_if_needed()
-
     def _report_overflow_if_needed(self) -> None:
         """Report the bucket's size to the coordinator while overflowing.
 
@@ -165,60 +154,91 @@ class DataServer(Node):
             self._last_underflow_size = 1 << 30
 
     # ------------------------------------------------------------------
-    # key operation handlers
+    # key operations: one apply path for scalar messages and ops.batch
     # ------------------------------------------------------------------
+    def apply_key_op(self, kind: str, op: dict) -> dict:
+        """The one key-op apply: A2 verify → read or mutate → reply →
+        load reports → result.
+
+        ``op`` is a scalar message payload or one ``ops.batch`` entry.
+        A scalar payload names its ``client``, which gets the scalar
+        replies (:meth:`_reply`) before the load reports go out; batch
+        entries carry no client — the sub-batch reply gathers their
+        results.  An op this bucket does not own comes back ``moved``
+        with the A2 forward address and changes nothing.
+        """
+        key = op["key"]
+        forward = self._verify(key)
+        if forward is not None:
+            return {"status": "moved", "to": forward}
+        if kind == "search":
+            result = {
+                "status": "found" if key in self.bucket else "not_found",
+                "value": self.stored_value(key),
+            }
+        elif kind == "insert":
+            self.apply_insert(key, op["value"])
+            result = {"status": "applied"}
+        elif kind == "update":
+            result = {"status": "applied"}
+            if key not in self.bucket:
+                result["error"] = "update of absent key"
+            self.apply_update(key, op["value"])
+        elif kind == "delete":
+            self.apply_delete(key)
+            result = {"status": "applied"}
+        else:
+            raise ValueError(f"unknown key op kind {kind!r}")
+        if op.get("client"):
+            self._reply(kind, op, result)
+        if kind != "search":
+            self._report_overflow_if_needed()
+            if kind == "delete":
+                self._report_underflow_if_needed()
+        return result
+
+    def stored_value(self, key: int) -> Any:
+        """The value a search returns for ``key`` (None when absent)."""
+        return self.bucket.records.get(key)
+
+    def _reply(self, kind: str, payload: dict, result: dict) -> None:
+        """A scalar op's replies: the search result or an update-of-
+        absent error, an IAM when the op was forwarded (A3), and an
+        acknowledgement when the client tagged the op for its retry
+        loop."""
+        client = payload["client"]
+        if kind == "search":
+            self.send(client, "search.result", {
+                "request": payload["request"],
+                "key": payload["key"],
+                "found": result["status"] == "found",
+                "value": result["value"],
+            })
+        elif "error" in result:
+            self.send(client, "op.error",
+                      {"key": payload["key"], "reason": result["error"]})
+        if payload.get("hops", 0):
+            self._send_iam(client)
+        if payload.get("ack"):
+            self.send(client, "op.ack",
+                      {"token": payload["ack"], "bucket": self.number})
+
     def handle_insert(self, message: Message) -> None:
-        payload = message.payload
-        if self._verify(payload["key"]) is not None:
+        if self.apply_key_op("insert", message.payload)["status"] == "moved":
             self._forward(message)
-            return
-        self.apply_insert(payload["key"], payload["value"])
-        self._after_accept(payload)
 
     def handle_update(self, message: Message) -> None:
-        payload = message.payload
-        if self._verify(payload["key"]) is not None:
+        if self.apply_key_op("update", message.payload)["status"] == "moved":
             self._forward(message)
-            return
-        found = payload["key"] in self.bucket
-        self.apply_update(payload["key"], payload["value"])
-        if payload.get("client") and not found:
-            self.send(payload["client"], "op.error",
-                      {"key": payload["key"], "reason": "update of absent key"})
-        self._after_accept(payload)
 
     def handle_delete(self, message: Message) -> None:
-        payload = message.payload
-        if self._verify(payload["key"]) is not None:
+        if self.apply_key_op("delete", message.payload)["status"] == "moved":
             self._forward(message)
-            return
-        self.apply_delete(payload["key"])
-        self._after_accept(payload)
-        self._report_underflow_if_needed()
 
     def handle_search(self, message: Message) -> None:
-        payload = message.payload
-        if self._verify(payload["key"]) is not None:
+        if self.apply_key_op("search", message.payload)["status"] == "moved":
             self._forward(message)
-            return
-        key = payload["key"]
-        value = self.bucket.records.get(key)
-        self.send(
-            payload["client"],
-            "search.result",
-            {
-                "request": payload["request"],
-                "key": key,
-                "found": key in self.bucket,
-                "value": value,
-            },
-        )
-        if payload.get("hops", 0):
-            self._send_iam(payload["client"])
 
-    # ------------------------------------------------------------------
-    # batched key operations (bulk scatter-gather plane)
-    # ------------------------------------------------------------------
     def handle_ops_batch(self, message: Message) -> dict:
         """One scattered sub-batch: apply every op, reply per-op results.
 
@@ -244,40 +264,7 @@ class DataServer(Node):
     def _apply_batch_ops(self, ops: list[dict]) -> list[dict]:
         """Hook: apply a sub-batch.  Plain LH* applies op by op; LH*RS
         overrides to vectorize runs of same-kind ops."""
-        return [self._apply_batch_op(op) for op in ops]
-
-    def _apply_batch_op(self, op: dict) -> dict:
-        """Apply one batch op, mirroring the scalar handler's effects
-        (same verify, same mutation primitive, same load reports)."""
-        kind = op["op"]
-        key = op["key"]
-        forward = self._verify(key)
-        if forward is not None:
-            return {"status": "moved", "to": forward}
-        if kind == "search":
-            found = key in self.bucket
-            return {
-                "status": "found" if found else "not_found",
-                "value": self.bucket.records.get(key),
-            }
-        if kind == "insert":
-            self.apply_insert(key, op["value"])
-            self._report_overflow_if_needed()
-            return {"status": "applied"}
-        if kind == "update":
-            found = key in self.bucket
-            self.apply_update(key, op["value"])
-            self._report_overflow_if_needed()
-            if not found:
-                return {"status": "applied",
-                        "error": "update of absent key"}
-            return {"status": "applied"}
-        if kind == "delete":
-            self.apply_delete(key)
-            self._report_overflow_if_needed()
-            self._report_underflow_if_needed()
-            return {"status": "applied"}
-        raise ValueError(f"unknown batch op kind {kind!r}")
+        return [self.apply_key_op(op["op"], op) for op in ops]
 
     # ------------------------------------------------------------------
     # record mutation primitives (overridden by LH*RS to maintain parity)
@@ -368,7 +355,7 @@ class DataServer(Node):
     def handle_records_bulk(self, message: Message) -> None:
         """Bulk arrival of records moved by a split."""
         for key, value in message.payload["records"]:
-            self.receive_moved_record(key, value)
+            self.bucket.put(key, value)
         self._report_overflow_if_needed()
 
     # ------------------------------------------------------------------
@@ -391,10 +378,6 @@ class DataServer(Node):
         """Coordinator command: adopt a new bucket level (merge source
         widens its hash coverage back to the pre-split level)."""
         self.bucket.level = message.payload["level"]
-
-    def receive_moved_record(self, key: int, value: Any) -> None:
-        """Store one record that moved here through a split."""
-        self.bucket.put(key, value)
 
     # ------------------------------------------------------------------
     # introspection (file-state recovery, tests)

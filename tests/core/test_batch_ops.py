@@ -12,9 +12,8 @@ it must be:
   bucket layout, same records, same ranks, same parity symbols.  The
   vectorized bulk-apply runs, the coalesced ``parity.batch`` folds and
   the O(moves) ``_compact`` are all invisible.
-* **Knobs off ⇒ scalar** — with ``batch_ops=False`` the ``*_many``
-  entry points emit byte-identical message traces to a hand-written
-  scalar loop.
+* **A batch of one is the scalar op** — a one-op ``*_many`` call
+  sends the scalar message, so E3's 1 + k holds for it.
 * **Exactly-once under faults** — dropped/duplicated ``ops.batch`` and
   ``parity.batch`` messages leave the file logically correct and
   parity-consistent (per-(data, position) sequence numbers).
@@ -32,13 +31,12 @@ KEYS = st.integers(min_value=0, max_value=300)
 PAYLOADS = st.binary(min_size=0, max_size=24)
 
 
-def _cfg(batch: bool, m=2, k=2, capacity=8, compact=True, **kw) -> LHRSConfig:
+def _cfg(m=2, k=2, capacity=8, compact=True, **kw) -> LHRSConfig:
     return LHRSConfig(
         group_size=m,
         availability=k,
         bucket_capacity=capacity,
         compact_ranks=compact,
-        batch_ops=batch,
         **kw,
     )
 
@@ -133,11 +131,11 @@ def _batches_strategy():
 def test_batched_ops_equal_scalar_replay(batches, m, k, compact):
     """Byte-equality oracle, including mid-batch splits (capacity 8
     with up to 200 inserts forces splits *inside* ``insert_many``)."""
-    batched = LHRSFile(_cfg(True, m=m, k=k, compact=compact))
+    batched = LHRSFile(_cfg(m=m, k=k, compact=compact))
     orders = _apply_batches(batched, batches)
     batched.flush_all_parity()
 
-    scalar = LHRSFile(_cfg(False, m=m, k=k, compact=compact))
+    scalar = LHRSFile(_cfg(m=m, k=k, compact=compact))
     _replay_scalar(scalar, batches, orders)
     scalar.flush_all_parity()
 
@@ -157,11 +155,11 @@ def test_batched_growth_scenario_equals_scalar_replay():
         ("search", [k for k, _ in items[::4]]),
         ("delete", [k for k, _ in items[::5]]),
     ]
-    batched = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+    batched = LHRSFile(_cfg(m=4, k=2, capacity=8))
     orders = _apply_batches(batched, batches)
     batched.flush_all_parity()
 
-    scalar = LHRSFile(_cfg(False, m=4, k=2, capacity=8))
+    scalar = LHRSFile(_cfg(m=4, k=2, capacity=8))
     _replay_scalar(scalar, batches, orders)
     scalar.flush_all_parity()
 
@@ -170,50 +168,17 @@ def test_batched_growth_scenario_equals_scalar_replay():
     assert _parity_snapshot(batched) == _parity_snapshot(scalar)
 
 
-def test_batch_knobs_off_traces_are_byte_identical():
-    """``batch_ops=False`` makes ``*_many`` the scalar loop, down to
-    the exact message trace — the flag defaults to today's behaviour."""
-
-    def run(use_many: bool) -> str:
-        file = LHRSFile(_cfg(False, m=2, k=1, capacity=4))
-        file.enable_observability(trace_capacity=None)
-        items = [(k, b"v%d" % k) for k in range(40)]
-        updates = [(k, b"u%d" % k) for k, _ in items[::2]]
-        deletes = [k for k, _ in items[::3]]
-        searches = [k for k, _ in items[::4]]
-        if use_many:
-            file.insert_many(items)
-            file.update_many(updates)
-            file.search_many(searches)
-            file.delete_many(deletes)
-        else:
-            for k, v in items:
-                file.insert(k, v)
-            for k, v in updates:
-                file.update(k, v)
-            for k in searches:
-                file.search(k)
-            for k in deletes:
-                file.delete(k)
-        return file.tracer.to_jsonl()
-
-    scalar_trace = run(False)
-    many_trace = run(True)
-    assert many_trace == scalar_trace
-    assert '"type":"batch.scatter"' not in many_trace
-
-
 def test_batch_plane_uses_fewer_messages():
     """The point of the PR: one ``ops.batch`` per bucket replaces one
     round trip per record."""
     items = [(k, b"payload-%d" % k) for k in range(128)]
 
-    batched = LHRSFile(_cfg(True, m=4, k=2, capacity=512))
+    batched = LHRSFile(_cfg(m=4, k=2, capacity=512))
     out = batched.insert_many(items)
     assert out.ok and out.batched_ops == len(items) and out.scalar_ops == 0
     batched_msgs = batched.stats.total.by_kind.get("ops.batch", 0)
 
-    scalar = LHRSFile(_cfg(False, m=4, k=2, capacity=512))
+    scalar = LHRSFile(_cfg(m=4, k=2, capacity=512))
     for k, v in items:
         scalar.insert(k, v)
 
@@ -226,7 +191,7 @@ def test_dropped_and_duplicated_batches_apply_exactly_once():
     """Per-(data, position) sequence numbers + retry ladder: the batch
     plane survives the chaos rules mutations get in the soak tests."""
     config = _cfg(
-        True, m=4, k=2, capacity=8,
+        m=4, k=2, capacity=8,
         parity_ack=True, retry_attempts=8, retry_backoff_base=0.25,
     )
     file = LHRSFile(config)
@@ -282,7 +247,7 @@ class TestRankIndex:
             }
 
     def test_index_mirrors_ranks_through_restructuring(self):
-        file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+        file = LHRSFile(_cfg(m=4, k=2, capacity=8))
         file.insert_many([(k, b"x%d" % k) for k in range(200)])
         self._assert_index_consistent(file)
         file.delete_many(list(range(0, 200, 2)))
@@ -295,7 +260,7 @@ class TestRankIndex:
         assert file.verify_parity_consistency() == []
 
     def test_compact_keeps_ranks_dense(self):
-        file = LHRSFile(_cfg(False, m=2, k=1, capacity=32))
+        file = LHRSFile(_cfg(m=2, k=1, capacity=32))
         for key in range(24):
             file.insert(key, b"r%d" % key)
         for key in range(0, 24, 3):
@@ -349,7 +314,7 @@ class TestArithmeticSizes:
         # and insert blocks ride alongside the vectorized insert/update
         # blocks and the batch's per-op delete blocks (mixed batches);
         # the scalar ops at the end send blocks of one as parity.update.
-        file = LHRSFile(_cfg(True, m=4, k=2, capacity=8))
+        file = LHRSFile(_cfg(m=4, k=2, capacity=8))
         items = [(k, bytes([k % 251]) * (k % 17)) for k in range(120)]
         assert file.insert_many(items).ok
         assert file.update_many(

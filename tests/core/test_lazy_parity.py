@@ -103,6 +103,23 @@ class TestLazyMode:
         found, payload = file.recover_record(target)
         assert found and payload == target.to_bytes(8, "big")
 
+    def test_degraded_read_flushes_rank_mates_first(self):
+        """A survivor's queued Δ at the lost record's rank must reach
+        the parity before the degraded read decodes against it."""
+        file = LHRSFile(LHRSConfig(
+            group_size=4, availability=1, bucket_capacity=64,
+            parity_batch_size=4,
+        ))
+        for key in range(8):
+            file.insert(key, b"v%d" % key)
+        file.flush_all_parity()
+        # keys 0 and 1 share rank 1 in buckets 0 and 1
+        file.update(0, b"changed")
+        assert file.network.nodes["f.d0"]._parity_queue
+        file.failures.crash(["f.d1"])
+        outcome = file.search(1)
+        assert outcome.found and outcome.value == b"v1"
+
     def test_structural_ops_flush_first(self):
         """Splits flush the queue so ordering stays FIFO at parity."""
         file, _ = build(batch=64, k=1, capacity=8, count=60)

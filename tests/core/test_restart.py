@@ -239,6 +239,37 @@ class TestReplayAdvancesDeltaSequence:
             outcome = file.search(key)
             assert outcome.found and outcome.value == b"v%d" % key
 
+    def test_lazy_catch_up_flushes_rank_mates_before_rederiving(self):
+        """Lazy parity with an fsync window: a restart's catch-up re-
+        derives the keys its disk lost through record recovery, which
+        must flush the survivors' queued Δs before it reads parity —
+        else it decodes a wrong value and writes it back."""
+        file, tracer = build(count=0, parity_batch_size=4,
+                             wal_fsync_interval=4)
+        rng = np.random.default_rng(22)
+        victims = ["f.d0", "f.d1", "f.p0.0", "f.d2", "f.p0.1"]
+        for t in range(600):
+            if t and t % 100 == 0:
+                victim = victims[t // 100 - 1]
+                file.failures.crash([victim])
+                file.failures.heal([victim])
+            key = int(rng.integers(0, 200))
+            roll = float(rng.random())
+            if roll < 0.5:
+                file.insert(key, b"s%d-%d" % (t, key))
+            elif roll < 0.7:
+                file.delete(key)
+            else:
+                file.search(key)
+        delivered = [
+            e.attrs["kind"] for e in tracer.events if e.type == "msg.deliver"
+        ]
+        assert tracer.counts.get("catchup.data") == 3
+        assert tracer.counts.get("catchup.parity") == 2
+        assert "parity.locate" in delivered  # catch-up re-derived keys
+        file.flush_all_parity()
+        assert file.verify_parity_consistency() == []
+
     def test_clean_restart_rederives_no_record(self):
         """Eager parity, every append synced: replay already restored
         every key, so catch-up needs no record recovery at all."""
@@ -378,14 +409,23 @@ class TestCorruptDeliveryAuditRepair:
 class TestKnobsOffTraces:
     @staticmethod
     def _run_workload(durability):
+        """The seeded workload's trace.  The durable run checkpoints
+        every 8 appends and crashes and restores a data and a parity
+        bucket at op 150, so its trace crosses checkpoints, WAL replay
+        and both catch-up kinds."""
+        durable = {"durability_checkpoint_interval": 8} if durability else {}
         config = LHRSConfig(
             group_size=4, availability=2, bucket_capacity=8,
             parity_ack=True, client_acks=True, durability=durability,
+            **durable,
         )
         file = LHRSFile(config)
         tracer, _, _ = file.enable_observability()
         rng = np.random.default_rng(3)
         for i in range(300):
+            if durability and i == 150:
+                file.failures.crash(["f.d1", "f.p0.1"])
+                file.failures.heal(["f.d1", "f.p0.1"])
             key = int(rng.integers(0, 120))
             roll = rng.random()
             if roll < 0.5:
@@ -403,7 +443,11 @@ class TestKnobsOffTraces:
             assert event not in first
 
     def test_durability_on_stays_deterministic(self):
-        assert self._run_workload(True) == self._run_workload(True)
+        first = self._run_workload(True)
+        assert first == self._run_workload(True)
+        for event in ("disk.checkpoint", "bucket.restart",
+                      "catchup.data", "catchup.parity"):
+            assert f'"type":"{event}"' in first, event
 
 
 class TestRestartSoak:
@@ -507,7 +551,7 @@ class TestDurableGrowth:
             assert outcome.found and outcome.value == values[key], key
 
     def test_batched_growth_with_rank_compaction(self):
-        file = self.grown_file(16, batch_ops=True, compact_ranks=True)
+        file = self.grown_file(16, compact_ranks=True)
         items = [(key, b"b%d" % key) for key in range(2000)]
         for start in range(0, len(items), 64):
             assert file.insert_many(items[start:start + 64]).ok
@@ -542,7 +586,7 @@ class TestDurableGrowth:
                 real(self)
 
             monkeypatch.setattr(cls, "checkpoint_now", spy)
-        file = self.grown_file(4, batch_ops=True, compact_ranks=True)
+        file = self.grown_file(4, compact_ranks=True)
         for key in range(300):
             file.insert(key, b"s%d" % key)
         assert file.insert_many([(key, b"m%d" % key)
